@@ -36,6 +36,7 @@ from .verify import (
     run_net_recurrence_suite,
     run_open_coefficient_report,
     run_positivity_sweep,
+    run_singleton_removal_suite,
     run_spider_recurrence_suite,
     run_structure_suite,
 )
@@ -95,6 +96,18 @@ def parse_partition_text(text: str):
     return check_partition(parts)
 
 
+SUITE_COMMANDS = (
+    "net-rec",
+    "spider-rec",
+    "structure",
+    "singleton-removal",
+    "cancel",
+    "positivity",
+    "f-table",
+    "open-coeffs",
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromatic-schur",
@@ -103,7 +116,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-    parser.add_argument("--seed", type=int, default=None, help="recorded in reports; reserved for seeded sweeps")
     parser.add_argument(
         "--budget-ms",
         type=int,
@@ -123,12 +135,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("net-rec", help="verify the net coefficient recurrence")
     p.add_argument("--n-max", type=int, default=4)
+    p.set_defaults(run=lambda a: [run_net_recurrence_suite(a.n_max, jobs=a.jobs)])
 
     p = sub.add_parser("spider-rec", help="verify the spider coefficient recurrence")
     p.add_argument("--n-max", type=int, default=3)
+    p.set_defaults(run=lambda a: [run_spider_recurrence_suite(a.n_max, jobs=a.jobs)])
 
     p = sub.add_parser("structure", help="verify coefficient support and tail-content claims")
     p.add_argument("--bound", type=int, default=8)
+    p.set_defaults(run=lambda a: [run_structure_suite(a.bound, jobs=a.jobs)])
+
+    p = sub.add_parser("singleton-removal", help="verify the isolated-vertex row trade on nets")
+    p.add_argument("--bound", type=int, default=5)
+    p.set_defaults(run=lambda a: [run_singleton_removal_suite(a.bound, jobs=a.jobs)])
 
     p = sub.add_parser("cancel", help="verify signed cancellation of head groups")
     p.add_argument("--graph", help=GRAPH_SHORTHAND_HELP)
@@ -140,15 +159,24 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also run the 12-vertex showcase instance (needs a large --budget-ms)",
     )
+    p.set_defaults(run=_cancel_reports)
 
     p = sub.add_parser("positivity", help="verify net Schur-positivity, claw as control")
     p.add_argument("--n-max", type=int, default=4)
+    p.set_defaults(run=lambda a: [run_positivity_sweep(a.n_max, jobs=a.jobs, budget_ms=a.budget_ms)])
 
     p = sub.add_parser("f-table", help="tabulate f(C,D) and verify its identities")
     p.add_argument("--bound", type=int, default=6)
+    p.set_defaults(run=lambda a: [run_f_table_suite(a.bound, jobs=a.jobs)])
 
     p = sub.add_parser("open-coeffs", help="report the three open spider coefficient families")
     p.add_argument("--n-max", type=int, default=3)
+    p.set_defaults(
+        run=lambda a: [run_open_coefficient_report(a.n_max, jobs=a.jobs, budget_ms=a.budget_ms)]
+    )
+
+    p = sub.add_parser("all", help="run every suite at its default bounds")
+    p.set_defaults(run=_all_reports)
 
     return parser
 
@@ -237,8 +265,6 @@ def _report_csv(reports: list[VerificationReport]) -> str:
 
 
 def _emit_reports(reports: list[VerificationReport], args) -> int:
-    for report in reports:
-        report.seed = args.seed
     if args.format == "json":
         payload = {"reports": [r.to_json_dict(timing=args.timing) for r in reports]}
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -301,9 +327,19 @@ def _cancel_reports(args) -> list[VerificationReport]:
     return [run_cancellation_check(g, lam, p, b, label=label) for g, lam, p, b, label in runs]
 
 
-def main(argv=None) -> int:
+def _all_reports(args) -> list[VerificationReport]:
+    """Every suite at its default bounds, under the given --jobs and --budget-ms."""
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    reports = []
+    for command in SUITE_COMMANDS:
+        argv = ["--jobs", str(args.jobs), "--budget-ms", str(args.budget_ms), command]
+        suite_args = parser.parse_args(argv)
+        reports += suite_args.run(suite_args)
+    return reports
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "expand":
             vec = schur_expansion(parse_graph_shorthand(args.graph), args.method)
@@ -314,22 +350,7 @@ def main(argv=None) -> int:
             else:
                 print(_vector_text(vec))
             return 0
-        if args.command == "net-rec":
-            reports = [run_net_recurrence_suite(args.n_max, jobs=args.jobs)]
-        elif args.command == "spider-rec":
-            reports = [run_spider_recurrence_suite(args.n_max, jobs=args.jobs)]
-        elif args.command == "structure":
-            reports = [run_structure_suite(args.bound, jobs=args.jobs)]
-        elif args.command == "cancel":
-            reports = _cancel_reports(args)
-        elif args.command == "positivity":
-            reports = [run_positivity_sweep(args.n_max, jobs=args.jobs, budget_ms=args.budget_ms)]
-        elif args.command == "f-table":
-            reports = [run_f_table_suite(args.bound, jobs=args.jobs)]
-        elif args.command == "open-coeffs":
-            reports = [run_open_coefficient_report(args.n_max, jobs=args.jobs, budget_ms=args.budget_ms)]
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ValueError(f"unknown command {args.command!r}")
+        reports = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,11 @@
 ``oracle``   expands over stable partitions in the monomial basis and
              inverts the Kostka system.
 
-All three must agree on every input; the test suite enforces this.
+All three must agree on every input; the test suite enforces this.  They are
+not wholly independent.  All three enumerate stable sets with
+``graphs.stable_masks``, which the tests check against brute force.  Grouped
+and oracle also share the stable-partition counts of ``_so_count`` and its
+cache.
 """
 
 from __future__ import annotations
@@ -15,9 +19,12 @@ from .coeffvec import MONOMIAL, SCHUR, CoefficientVector
 from .graphs import (
     PENDANT_LAST,
     LabeledGraph,
+    adjacency_masks,
     count_semi_ordered_stable_partitions,
     generalized_net,
     max_clique,
+    stable_masks,
+    vertex_mask,
 )
 from .partitions import UNDEFINED, check_partition, partitions_of, sort_to_partition
 from .tableaux import monomial_to_schur
@@ -35,13 +42,6 @@ _so_cache: dict = {}
 _oracle_cache: dict = {}
 
 
-def clear_caches() -> None:
-    _counters.clear()
-    _coeff_cache.clear()
-    _so_cache.clear()
-    _oracle_cache.clear()
-
-
 class _TabloidCounter:
     """Signed count of SRH G-tabloids over one graph.
 
@@ -54,16 +54,8 @@ class _TabloidCounter:
 
     def __init__(self, graph: LabeledGraph):
         self.n = graph.n
-        self.adj_masks = [0] * (graph.n + 1)
-        for v in graph.vertices:
-            m = 0
-            for u in graph.neighbors(v):
-                m |= 1 << (u - 1)
-            self.adj_masks[v] = m
-        cm = 0
-        for v in max_clique(graph):
-            cm |= 1 << (v - 1)
-        self.clique_mask = cm
+        self.adj = adjacency_masks(graph)
+        self.clique_mask = vertex_mask(max_clique(graph))
         self.memo: dict = {}
 
     def signed_sum(self, shape) -> int:
@@ -80,25 +72,11 @@ class _TabloidCounter:
         if (self.clique_mask & rem).bit_count() <= len(shape):
             for cells, nsteps, reduced in bottom_hook_choices(shape):
                 sub = 0
-                for group in self._stable_masks(rem, len(cells)):
+                for group in stable_masks(self.adj, rem, len(cells)):
                     sub += self._count(reduced, rem ^ group)
                 total += -sub if nsteps & 1 else sub
         self.memo[key] = total
         return total
-
-    def _stable_masks(self, avail: int, size: int):
-        # stable subsets of the available set with exactly `size` bits
-        if size == 0:
-            yield 0
-            return
-        if avail.bit_count() < size:
-            return
-        v_bit = avail & -avail
-        v = v_bit.bit_length()
-        rest = avail ^ v_bit
-        for tail in self._stable_masks(rest & ~self.adj_masks[v], size - 1):
-            yield v_bit | tail
-        yield from self._stable_masks(rest, size)
 
 
 def _counter_for(graph: LabeledGraph) -> _TabloidCounter:

@@ -3,6 +3,9 @@
 Covers the complete-graph families with appended pendants and paths, role
 bookkeeping, claw detection, and exact stable-partition counting.  Graphs
 are immutable after construction and safe to share across workers.
+
+Vertex sets in the enumerators are int bitmasks, bit ``v - 1`` for vertex
+``v``; ``stable_masks`` is the one stable-set enumerator of the package.
 """
 
 from __future__ import annotations
@@ -236,11 +239,6 @@ def with_disjoint_path(graph, k: int):
     return LabeledGraph(n + k, edges, roles)
 
 
-def is_stable(graph, vertices) -> bool:
-    vs = list(vertices)
-    return all(not graph.adjacent(u, v) for u, v in itertools.combinations(vs, 2))
-
-
 def is_claw_free(graph) -> bool:
     """True iff no four vertices induce a star K_{1,3} (brute force)."""
     for quad in itertools.combinations(graph.vertices, 4):
@@ -253,25 +251,38 @@ def is_claw_free(graph) -> bool:
     return True
 
 
-def stable_subsets(graph, pool, size: int):
-    """Stable subsets of ``pool`` of the given size, as sorted tuples in
-    lexicographic order."""
-    pool = sorted(pool)
+def vertex_mask(vertices) -> int:
+    """Bitmask of a vertex set: bit ``v - 1`` stands for vertex ``v``."""
+    return sum(1 << (v - 1) for v in vertices)
 
-    def rec(start: int, chosen: list[int]):
-        if len(chosen) == size:
-            yield tuple(chosen)
-            return
-        for i in range(start, len(pool)):
-            if len(pool) - i < size - len(chosen):
-                break
-            v = pool[i]
-            if all(not graph.adjacent(v, u) for u in chosen):
-                chosen.append(v)
-                yield from rec(i + 1, chosen)
-                chosen.pop()
 
-    yield from rec(0, [])
+def mask_labels(mask: int) -> tuple[int, ...]:
+    """The vertex labels of a bitmask, in increasing order."""
+    return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
+
+
+def adjacency_masks(graph) -> tuple[int, ...]:
+    """Neighbour bitmask of every vertex, indexed by label (entry 0 unused)."""
+    return (0,) + tuple(vertex_mask(graph.neighbors(v)) for v in graph.vertices)
+
+
+def stable_masks(adj, avail: int, size: int):
+    """Stable subsets of the vertex bitmask ``avail`` with exactly ``size``
+    vertices, under the neighbour masks ``adj`` of ``adjacency_masks``.
+
+    The lowest available vertex is included before it is excluded, so the
+    subsets come in the lexicographic order of their sorted label tuples.
+    """
+    if size == 0:
+        yield 0
+        return
+    if avail.bit_count() < size:
+        return
+    v_bit = avail & -avail
+    rest = avail ^ v_bit
+    for tail in stable_masks(adj, rest & ~adj[v_bit.bit_length()], size - 1):
+        yield v_bit | tail
+    yield from stable_masks(adj, rest, size)
 
 
 def max_clique(graph) -> frozenset:
@@ -305,24 +316,23 @@ def count_semi_ordered_stable_partitions(graph, mu) -> int:
     ordered_factor = 1
     for r in Counter(mu).values():
         ordered_factor *= factorial(r)
-    unordered = _stable_partition_count(graph, frozenset(graph.vertices), mu)
+    unordered = _stable_partition_count(adjacency_masks(graph), (1 << graph.n) - 1, mu)
     return unordered * ordered_factor
 
 
-def _stable_partition_count(graph, remaining: frozenset, sizes) -> int:
+def _stable_partition_count(adj, remaining: int, sizes) -> int:
     if not sizes:
         return 1
-    v = min(remaining)
-    pool = [u for u in sorted(remaining) if u != v and not graph.adjacent(u, v)]
+    v_bit = remaining & -remaining
+    rest = remaining ^ v_bit
+    pool = rest & ~adj[v_bit.bit_length()]
     total = 0
-    seen = set()
     for idx, s in enumerate(sizes):
-        if s in seen:
+        if s in sizes[:idx]:
             continue
-        seen.add(s)
-        rest = sizes[:idx] + sizes[idx + 1 :]
-        for others in stable_subsets(graph, pool, s - 1):
-            total += _stable_partition_count(graph, remaining.difference((v,) + others), rest)
+        smaller = sizes[:idx] + sizes[idx + 1 :]
+        for others in stable_masks(adj, pool, s - 1):
+            total += _stable_partition_count(adj, rest ^ others, smaller)
     return total
 
 

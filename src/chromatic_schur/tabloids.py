@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .graphs import max_clique, stable_subsets
+from .graphs import adjacency_masks, mask_labels, max_clique, stable_masks, vertex_mask
 from .partitions import UNDEFINED, Partition, check_partition
 
 Cell = tuple[int, int]
@@ -170,7 +170,8 @@ def srh_g_tabloids(shape, graph):
     shape = check_partition(shape)
     if sum(shape) != graph.n:
         return
-    clique = max_clique(graph)
+    adj = adjacency_masks(graph)
+    clique = vertex_mask(max_clique(graph))
 
     def rec(current, remaining, hooks, fills):
         if not current:
@@ -178,17 +179,17 @@ def srh_g_tabloids(shape, graph):
             return
         # every hook ahead holds at most one clique vertex and needs its own
         # first-column cell, of which len(current) remain
-        if len(clique & remaining) > len(current):
+        if (clique & remaining).bit_count() > len(current):
             return
         for cells, _, reduced in bottom_hook_choices(current):
-            for group in stable_subsets(graph, remaining, len(cells)):
+            for group in stable_masks(adj, remaining, len(cells)):
                 hooks.append(RimHook(cells))
-                fills.append(group)
-                yield from rec(reduced, remaining.difference(group), hooks, fills)
+                fills.append(mask_labels(group))
+                yield from rec(reduced, remaining ^ group, hooks, fills)
                 hooks.pop()
                 fills.pop()
 
-    yield from rec(shape, frozenset(graph.vertices), [], [])
+    yield from rec(shape, (1 << graph.n) - 1, [], [])
 
 
 def tabloids_with_bottom_vertex(shape, graph, vertex: int):

@@ -62,7 +62,6 @@ class VerificationReport:
     failures: list
     wall_time_ms: int
     instances: list = field(default_factory=list)
-    seed: int | None = None
 
     @property
     def passed(self) -> bool:
@@ -75,14 +74,12 @@ class VerificationReport:
             "failures": self.failures,
             "wall_time_ms": self.wall_time_ms if timing else 0,
         }
-        if self.seed is not None:
-            out["seed"] = self.seed
         if include_instances:
             out["instances"] = self.instances
         return out
 
 
-def _finish(statement_id: str, instances: list, started: float, seed=None) -> VerificationReport:
+def _finish(statement_id: str, instances: list, started: float) -> VerificationReport:
     failures = [
         {"parameters": inst["params"], "lhs": inst.get("lhs"), "rhs": inst.get("rhs")}
         for inst in instances
@@ -94,7 +91,6 @@ def _finish(statement_id: str, instances: list, started: float, seed=None) -> Ve
         failures=failures,
         wall_time_ms=int((time.monotonic() - started) * 1000),
         instances=instances,
-        seed=seed,
     )
 
 

@@ -128,9 +128,31 @@ def test_json_reports_byte_identical(capsys):
     assert out1 == out2
 
 
-def test_seed_recorded_in_json(capsys):
-    _, out, _ = run_cli(capsys, "--format", "json", "--seed", "17", "net-rec", "--n-max", "1")
-    assert json.loads(out)["reports"][0]["seed"] == 17
+def test_singleton_removal_exit_zero(capsys):
+    code, out, _ = run_cli(capsys, "singleton-removal", "--bound", "3")
+    assert code == 0 and out.startswith("singleton-removal: PASS")
+
+
+@pytest.mark.slow
+def test_all_runs_every_suite(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "all")
+    assert code == 0
+    assert [r["statement_id"] for r in json.loads(out)["reports"]] == [
+        "net-recurrence",
+        "spider-recurrence",
+        "net-structure",
+        "singleton-removal",
+        "head-group-cancellation",
+        "head-group-cancellation",
+        "net-positivity",
+        "f-table",
+        "open-spider-coefficients",
+    ]
+
+
+def test_seed_option_removed(capsys):
+    with pytest.raises(SystemExit):
+        main(["--seed", "17", "net-rec", "--n-max", "1"])
 
 
 def test_csv_rows(capsys):

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chromatic_schur.graphs import (
     ANCHOR,
@@ -11,6 +14,7 @@ from chromatic_schur.graphs import (
     SPECIAL_ANCHOR,
     SPECIAL_PENDANT,
     LabeledGraph,
+    adjacency_masks,
     are_isomorphic,
     complete_graph,
     connected_graphs,
@@ -19,12 +23,15 @@ from chromatic_schur.graphs import (
     generalized_spider,
     is_claw_free,
     is_connected,
+    mask_labels,
     max_clique,
     path_graph,
     random_graph,
     random_relabeling,
+    stable_masks,
     star_graph,
     validate_roles,
+    vertex_mask,
     with_disjoint_path,
 )
 from chromatic_schur.partitions import UNDEFINED, partitions_of
@@ -157,6 +164,29 @@ def test_stable_partition_singletons_and_cliques():
         for mu in partitions_of(n):
             if any(p >= 2 for p in mu):
                 assert count_semi_ordered_stable_partitions(complete_graph(n), mu) == 0
+
+
+def _graph_avail_size(n):
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    graphs = st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).map(
+        lambda bits: LabeledGraph(n, [p for p, b in zip(pairs, bits) if b])
+    )
+    return st.tuples(graphs, st.sets(st.integers(1, n)), st.integers(0, n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(_graph_avail_size))
+def test_stable_sets_by_mask_match_brute_force_in_order(case):
+    graph, avail, size = case
+    found = [
+        mask_labels(m) for m in stable_masks(adjacency_masks(graph), vertex_mask(avail), size)
+    ]
+    expected = [
+        c
+        for c in itertools.combinations(sorted(avail), size)
+        if not any(graph.adjacent(u, v) for u, v in itertools.combinations(c, 2))
+    ]
+    assert found == expected
 
 
 def test_net_role_counts():
