@@ -1,9 +1,11 @@
 """Exact Schur expansions of chromatic symmetric functions.
 
-Coefficients are computed three independent ways (signed rim hook tabloid
-sums, grouped tabloid/stable-partition sums, and Kostka inversion of the
-monomial expansion), and the package ships batch suites that verify the
-recurrences and positivity statements these coefficients satisfy.
+Coefficients are computed three ways that must agree: signed rim hook
+tabloid sums, and the monomial expansion (stable-partition counts) taken to
+the Schur basis either by signed rim hook tabloids or by Kostka
+back-substitution.  All three share the stable-set enumerator, and the last
+two share the monomial expansion.  Batch suites verify the recurrences and
+positivity statements these coefficients satisfy.
 """
 
 from .coeffvec import MONOMIAL, SCHUR, CoefficientVector

@@ -2,15 +2,15 @@
 
 ``tabloid``  sums tabloid signs directly, with memoization on
              (subdiagram, remaining-vertex-set) states;
-``grouped``  pairs plain tabloids with semi-ordered stable partition counts;
-``oracle``   expands over stable partitions in the monomial basis and
-             inverts the Kostka system.
+``grouped``  applies the inverse Kostka matrix, as signed special rim hook
+             tabloids, to the monomial expansion;
+``oracle``   applies it by back-substitution through Kostka numbers.
 
 All three must agree on every input; the test suite enforces this.  They are
 not wholly independent.  All three enumerate stable sets with
 ``graphs.stable_masks``, which the tests check against brute force.  Grouped
-and oracle also share the stable-partition counts of ``_so_count`` and its
-cache.
+and oracle also share the monomial expansion, which comes from
+``graphs.stable_partition_types`` and its per-graph cache.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .graphs import (
     generalized_net,
     max_clique,
     stable_masks,
+    stable_partition_types,
     vertex_mask,
 )
 from .partitions import UNDEFINED, check_partition, partitions_of, sort_to_partition
@@ -35,11 +36,9 @@ GROUPED = "grouped"
 ORACLE = "oracle"
 METHODS = (TABLOID, GROUPED, ORACLE)
 
-# write-once caches; entries are published atomically under the GIL
+# write-once cache of tabloid counters; entries are published atomically
+# under the GIL
 _counters: dict = {}
-_coeff_cache: dict = {}
-_so_cache: dict = {}
-_oracle_cache: dict = {}
 
 
 class _TabloidCounter:
@@ -88,15 +87,6 @@ def _counter_for(graph: LabeledGraph) -> _TabloidCounter:
     return ctr
 
 
-def _so_count(graph: LabeledGraph, mu) -> int:
-    key = (graph.key(), mu)
-    val = _so_cache.get(key)
-    if val is None:
-        val = count_semi_ordered_stable_partitions(graph, mu)
-        _so_cache[key] = val
-    return val
-
-
 def chromatic_monomial_expansion(graph: LabeledGraph) -> CoefficientVector:
     """Monomial expansion of the chromatic symmetric function.
 
@@ -104,21 +94,9 @@ def chromatic_monomial_expansion(graph: LabeledGraph) -> CoefficientVector:
     type mu: each unordered stable partition contributes the full product of
     size-multiplicity factorials, which is the augmented-monomial expansion.
     """
-    coeffs = {}
-    for mu in partitions_of(graph.n):
-        c = _so_count(graph, mu)
-        if c:
-            coeffs[mu] = c
+    types = stable_partition_types(graph)
+    coeffs = {mu: count_semi_ordered_stable_partitions(graph, mu) for mu in types}
     return CoefficientVector(MONOMIAL, coeffs)
-
-
-def _oracle_expansion(graph: LabeledGraph) -> CoefficientVector:
-    key = graph.key()
-    vec = _oracle_cache.get(key)
-    if vec is None:
-        vec = monomial_to_schur(chromatic_monomial_expansion(graph))
-        _oracle_cache[key] = vec
-    return vec
 
 
 def schur_coefficient(graph: LabeledGraph, lam, method: str = TABLOID) -> int:
@@ -129,31 +107,19 @@ def schur_coefficient(graph: LabeledGraph, lam, method: str = TABLOID) -> int:
     lam = check_partition(lam)
     if sum(lam) != graph.n:
         raise ValueError("partition size must equal the vertex count")
-    key = (graph.key(), lam, method)
-    cached = _coeff_cache.get(key)
-    if cached is not None:
-        return cached
     if method == TABLOID:
-        val = _counter_for(graph).signed_sum(lam)
-    elif method == GROUPED:
-        val = 0
-        for t in srh_tabloids(lam):
-            val += t.sign * _so_count(graph, sort_to_partition(t.content))
-    else:
-        val = _oracle_expansion(graph)[lam]
-    _coeff_cache[key] = val
-    return val
+        return _counter_for(graph).signed_sum(lam)
+    mono = chromatic_monomial_expansion(graph)
+    if method == GROUPED:
+        return sum(t.sign * mono[sort_to_partition(t.content)] for t in srh_tabloids(lam))
+    return monomial_to_schur(mono)[lam]
 
 
 def schur_expansion(graph: LabeledGraph, method: str = TABLOID) -> CoefficientVector:
     """Full Schur expansion over all partitions of the vertex count."""
     if method == ORACLE:
-        return _oracle_expansion(graph)
-    coeffs = {}
-    for lam in partitions_of(graph.n):
-        c = schur_coefficient(graph, lam, method)
-        if c:
-            coeffs[lam] = c
+        return monomial_to_schur(chromatic_monomial_expansion(graph))
+    coeffs = {lam: schur_coefficient(graph, lam, method) for lam in partitions_of(graph.n)}
     return CoefficientVector(SCHUR, coeffs)
 
 

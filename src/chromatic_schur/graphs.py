@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from math import factorial
+from math import factorial, prod
+from types import MappingProxyType
 
 from .partitions import UNDEFINED, check_partition
 
@@ -32,6 +33,9 @@ PENDANT_ROLES = frozenset({PENDANT, SPECIAL_PENDANT})
 PENDANT_FIRST = "pendant_first"
 PENDANT_LAST = "pendant_last"
 NET_LABELINGS = (PENDANT_FIRST, PENDANT_LAST)
+
+# write-once per-graph cache of stable_partition_types, keyed by graph.key()
+_partition_types: dict = {}
 
 
 class LabeledGraph:
@@ -302,38 +306,54 @@ def max_clique(graph) -> frozenset:
     return frozenset(best)
 
 
+def stable_partition_types(graph):
+    """Number of unordered partitions of the vertex set into stable parts,
+    keyed by the type (sorted part sizes) ``mu``; types with none are absent.
+
+    One subset DP yields every type at once.  It is memoized on the
+    remaining-vertex bitmask, and the lowest remaining vertex always opens
+    the next part, so each partition is seen exactly once.  The result is
+    kept per graph and returned read-only.
+    """
+    key = graph.key()
+    types = _partition_types.get(key)
+    if types is None:
+        types = MappingProxyType(_types_of_rest(adjacency_masks(graph), (1 << graph.n) - 1, {}))
+        _partition_types[key] = types
+    return types
+
+
+def _types_of_rest(adj, remaining: int, memo: dict) -> dict:
+    if not remaining:
+        return {(): 1}
+    out = memo.get(remaining)
+    if out is not None:
+        return out
+    out = {}
+    v_bit = remaining & -remaining
+    rest = remaining ^ v_bit
+    pool = rest & ~adj[v_bit.bit_length()]
+    for size in range(1, pool.bit_count() + 2):
+        for others in stable_masks(adj, pool, size - 1):
+            for mu, c in _types_of_rest(adj, rest ^ others, memo).items():
+                nu = tuple(sorted(mu + (size,), reverse=True))
+                out[nu] = out.get(nu, 0) + c
+    memo[remaining] = out
+    return out
+
+
 def count_semi_ordered_stable_partitions(graph, mu) -> int:
     """Count partitions of the vertex set into stable parts of sizes ``mu``,
     where parts of equal size additionally carry an order.
 
-    Unordered partitions are counted by always routing the smallest
-    unassigned vertex into the next part (so each is seen exactly once), then
-    the count is multiplied by the factorials of the size multiplicities.
+    This is the unordered count of ``stable_partition_types`` times the
+    factorials of the size multiplicities.
     """
     mu = check_partition(mu)
     if sum(mu) != graph.n:
         raise ValueError("partition size must equal the vertex count")
-    ordered_factor = 1
-    for r in Counter(mu).values():
-        ordered_factor *= factorial(r)
-    unordered = _stable_partition_count(adjacency_masks(graph), (1 << graph.n) - 1, mu)
-    return unordered * ordered_factor
-
-
-def _stable_partition_count(adj, remaining: int, sizes) -> int:
-    if not sizes:
-        return 1
-    v_bit = remaining & -remaining
-    rest = remaining ^ v_bit
-    pool = rest & ~adj[v_bit.bit_length()]
-    total = 0
-    for idx, s in enumerate(sizes):
-        if s in sizes[:idx]:
-            continue
-        smaller = sizes[:idx] + sizes[idx + 1 :]
-        for others in stable_masks(adj, pool, s - 1):
-            total += _stable_partition_count(adj, rest ^ others, smaller)
-    return total
+    ordered_factor = prod(factorial(r) for r in Counter(mu).values())
+    return stable_partition_types(graph).get(mu, 0) * ordered_factor
 
 
 def is_connected(graph) -> bool:

@@ -1,9 +1,9 @@
 """Semistandard tableau counting and monomial/Schur basis conversion.
 
 The Kostka numbers computed here back the "oracle" route for Schur
-coefficients.  They come from direct backtracking over tableau fillings,
-with no reference to rim hooks, so the two coefficient routes stay
-independent.
+coefficients.  They come from the horizontal-strip recursion, with no
+reference to rim hooks, so the oracle's Kostka matrix stays apart from the
+grouped route's signed rim hook tabloids.
 """
 
 from __future__ import annotations
@@ -27,46 +27,26 @@ def kostka_number(shape, weight) -> int:
     return _kostka(shape, weight)
 
 
-def _dominates(lam: Partition, mu: Partition) -> bool:
-    # partial sums of lam weakly exceed those of mu (equal total size)
-    total_l = total_m = 0
-    for j in range(len(mu)):
-        total_l += lam[j] if j < len(lam) else 0
-        total_m += mu[j]
-        if total_l < total_m:
-            return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def _kostka(shape: Partition, weight: Partition) -> int:
-    if not shape:
-        return 1
-    if not _dominates(shape, weight):
-        return 0
-    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
-    remaining = list(weight)
-    grid = [[0] * width for width in shape]
+    # the cells holding the largest entry form a horizontal strip of
+    # weight[-1] cells; strip it off and recurse on the rest of the weight
+    if not weight:
+        return 0 if shape else 1
+    return sum(_kostka(nu, weight[:-1]) for nu in _strip_removals(shape, weight[-1]))
 
-    def fill(idx: int) -> int:
-        if idx == len(cells):
-            return 1
-        r, c = cells[idx]
-        lo = grid[r][c - 1] if c else 1
-        if r:
-            lo = max(lo, grid[r - 1][c] + 1)
-        total = 0
-        for entry in range(lo, len(remaining) + 1):
-            if not remaining[entry - 1]:
-                continue
-            remaining[entry - 1] -= 1
-            grid[r][c] = entry
-            total += fill(idx + 1)
-            remaining[entry - 1] += 1
-        grid[r][c] = 0
-        return total
 
-    return fill(0)
+def _strip_removals(shape: Partition, size: int, row: int = 0):
+    """Every nu with shape[i+1] <= nu[i] <= shape[i] for each row i from
+    ``row`` on and ``size`` cells removed in all, as a partition tuple."""
+    if row == len(shape):
+        if not size:
+            yield ()
+        return
+    below = shape[row + 1] if row + 1 < len(shape) else 0
+    for keep in range(max(below, shape[row] - size), shape[row] + 1):
+        for tail in _strip_removals(shape, size - shape[row] + keep, row + 1):
+            yield (keep,) + tail if keep else tail
 
 
 @lru_cache(maxsize=None)
@@ -74,16 +54,11 @@ def kostka_matrix(degree: int) -> dict[tuple[Partition, Partition], int]:
     """All nonzero Kostka numbers of one degree, keyed by (shape, weight).
 
     Built lazily on first basis conversion at that degree and kept for the
-    life of the process (conversions dominate the oracle's cost).
+    life of the process.
     """
     order = partitions_of(degree)
-    out = {}
-    for lam in order:
-        for mu in order:
-            k = _kostka(lam, mu)
-            if k:
-                out[lam, mu] = k
-    return out
+    pairs = ((lam, mu) for lam in order for mu in order)
+    return {pair: k for pair in pairs if (k := _kostka(*pair))}
 
 
 def monomial_to_schur(vec: CoefficientVector) -> CoefficientVector:

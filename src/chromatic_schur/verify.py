@@ -12,6 +12,7 @@ instance order regardless of worker count.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -95,8 +96,11 @@ def _finish(statement_id: str, instances: list, started: float) -> VerificationR
 
 
 def _map_instances(fn, params: list, jobs: int) -> list:
-    if jobs > 1 and len(params) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool forks all its workers at the first submit, so never ask for
+    # more than there are instances or cores
+    workers = min(jobs, len(params), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, params))
     return [fn(p) for p in params]
 

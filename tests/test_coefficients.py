@@ -18,6 +18,7 @@ from chromatic_schur.coefficients import (
 )
 from chromatic_schur.graphs import (
     PENDANT_LAST,
+    LabeledGraph,
     complete_graph,
     generalized_net,
     generalized_spider,
@@ -60,6 +61,9 @@ def test_monomial_expansion_matches_coloring_enumeration():
     rng = random.Random(31)
     graphs = [complete_graph(3), path_graph(4), star_graph(3)]
     graphs += [random_graph(5, rng) for _ in range(4)]
+    # edgeless, and a separate component: the opening vertex's non-neighbours
+    # are the whole remainder, or reach across components
+    graphs += [LabeledGraph(5), with_disjoint_path(path_graph(3), 2)]
     for graph in graphs:
         expansion = chromatic_monomial_expansion(graph)
         for mu in partitions_of(graph.n):

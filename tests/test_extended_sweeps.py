@@ -19,6 +19,7 @@ from chromatic_schur.graphs import (
     PENDANT_ROLES,
     connected_graphs,
     generalized_net,
+    path_graph,
     random_graph,
 )
 from chromatic_schur.partitions import partitions_of
@@ -34,6 +35,8 @@ def test_method_agreement_six_vertex_census_and_seven_vertex_samples():
     graphs = connected_graphs(6)
     rng = random.Random(SEED)
     graphs += [random_graph(7, rng) for _ in range(100)]
+    # degree 10: the strip recursion and the subset DP meet the tabloid route
+    graphs += [generalized_net(5, 5), path_graph(10)]
     for graph in graphs:
         for lam in partitions_of(graph.n):
             a = schur_coefficient(graph, lam, TABLOID)

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chromatic_schur.coeffvec import MONOMIAL, SCHUR, CoefficientVector
-from chromatic_schur.partitions import partitions_of
+from chromatic_schur.partitions import partitions_of, sort_to_partition
 from chromatic_schur.tableaux import kostka_number, monomial_to_schur, schur_to_monomial
+from chromatic_schur.tabloids import srh_tabloids
 
 
 @lru_cache(maxsize=None)
@@ -22,6 +23,57 @@ def syt_count(shape):
             smaller = shape[:i] + ((part - 1,) if part > 1 else ()) + shape[i + 1 :]
             total += syt_count(smaller)
     return total
+
+
+def ssyt_count(shape, weight):
+    """Independent oracle: count SSYT of ``shape`` with content ``weight`` by
+    backtracking over fillings in reading order."""
+    cells = [(r, c) for r, width in enumerate(shape) for c in range(width)]
+    remaining = list(weight)
+    grid = [[0] * width for width in shape]
+
+    def fill(idx):
+        if idx == len(cells):
+            return 1
+        r, c = cells[idx]
+        lo = grid[r][c - 1] if c else 1
+        if r:
+            lo = max(lo, grid[r - 1][c] + 1)
+        total = 0
+        for entry in range(lo, len(remaining) + 1):
+            if not remaining[entry - 1]:
+                continue
+            remaining[entry - 1] -= 1
+            grid[r][c] = entry
+            total += fill(idx + 1)
+            remaining[entry - 1] += 1
+        grid[r][c] = 0
+        return total
+
+    return fill(0)
+
+
+def test_kostka_matches_ssyt_backtracking_through_degree_8():
+    for n in range(9):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                assert kostka_number(lam, mu) == ssyt_count(lam, mu), (lam, mu)
+
+
+def test_kostka_times_signed_rim_hook_tabloids_is_identity():
+    # the oracle's Kostka matrix and the grouped route's inverse Kostka
+    # matrix (signed special rim hook tabloids by content type) are inverse
+    for n in range(9):
+        order = partitions_of(n)
+        kinv = {}
+        for lam in order:
+            for t in srh_tabloids(lam):
+                key = (sort_to_partition(t.content), lam)
+                kinv[key] = kinv.get(key, 0) + t.sign
+        for nu in order:
+            for lam in order:
+                total = sum(kostka_number(nu, mu) * kinv.get((mu, lam), 0) for mu in order)
+                assert total == (nu == lam), (nu, lam)
 
 
 def test_kostka_examples():

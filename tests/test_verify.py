@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -182,6 +183,30 @@ def test_parallel_jobs_identical():
     parallel = run_net_recurrence_suite(3, jobs=4)
     assert sequential.instances == parallel.instances
     assert sequential.failures == parallel.failures
+
+
+def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
+    requested = []
+
+    class InProcessPool:
+        # records the pool size and maps in-process, so no worker starts
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, params):
+            return map(fn, params)
+
+    monkeypatch.setattr("chromatic_schur.verify.ProcessPoolExecutor", InProcessPool)
+    sequential = run_net_recurrence_suite(2, jobs=1)
+    bounded = run_net_recurrence_suite(2, jobs=10_000)
+    assert all(w <= (os.cpu_count() or 1) and w <= len(bounded.instances) for w in requested)
+    assert bounded.instances == sequential.instances
 
 
 def test_suite_argument_validation():
