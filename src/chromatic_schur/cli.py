@@ -286,41 +286,34 @@ def _labels_arg(text: str) -> frozenset:
 def _cancel_reports(args) -> list[VerificationReport]:
     if (args.graph is None) != (args.partition is None):
         raise ValueError("cancel needs both --graph and --partition, or neither")
-    runs = []
+
+    def instance(graph, lam, label, pendants=None, body=None):
+        # pendant and body sets default to the graph's roles
+        return (
+            graph,
+            lam,
+            _labels_arg(pendants) if pendants else frozenset(graph.labels_with_role(*PENDANT_ROLES)),
+            _labels_arg(body) if body else frozenset(graph.labels_with_role(*BODY_ROLES)),
+            label,
+        )
+
     if args.graph is not None:
         graph = parse_graph_shorthand(args.graph)
         lam = parse_partition_text(args.partition)
-        pendants = _labels_arg(args.pendants) if args.pendants else frozenset(graph.labels_with_role(*PENDANT_ROLES))
-        body = _labels_arg(args.body) if args.body else frozenset(graph.labels_with_role(*BODY_ROLES))
-        runs.append((graph, lam, pendants, body, args.graph))
+        runs = [instance(graph, lam, args.graph, args.pendants, args.body)]
     else:
-        for n, lam in ((3, (2, 1, 1, 1, 1)), (4, (2, 1, 1, 1, 1, 1, 1))):
-            graph = generalized_net(n, n, "pendant_first")
-            runs.append(
-                (
-                    graph,
-                    lam,
-                    frozenset(graph.labels_with_role(*PENDANT_ROLES)),
-                    frozenset(graph.labels_with_role(*BODY_ROLES)),
-                    f"GN({n},{n})",
-                )
-            )
+        runs = [
+            instance(generalized_net(n, n, "pendant_first"), lam, f"GN({n},{n})")
+            for n, lam in ((3, (2, 1, 1, 1, 1)), (4, (2, 1, 1, 1, 1, 1, 1)))
+        ]
         if args.showcase:
             graph = generalized_net(6, 6, "pendant_first")
-            if nominal_cost_ms(graph.n, kind="enumeration") <= args.budget_ms:
-                runs.append(
-                    (
-                        graph,
-                        (2, 2, 1, 1, 1, 1, 1, 1, 1, 1),
-                        frozenset(graph.labels_with_role(*PENDANT_ROLES)),
-                        frozenset(graph.labels_with_role(*BODY_ROLES)),
-                        "GN(6,6)",
-                    )
-                )
+            cost = nominal_cost_ms(graph.n, kind="enumeration")
+            if cost <= args.budget_ms:
+                runs.append(instance(graph, (2, 2, 1, 1, 1, 1, 1, 1, 1, 1), "GN(6,6)"))
             else:
                 print(
-                    f"skipping GN(6,6) showcase: nominal cost "
-                    f"{nominal_cost_ms(graph.n, kind='enumeration')} ms "
+                    f"skipping GN(6,6) showcase: nominal cost {cost} ms "
                     f"exceeds --budget-ms {args.budget_ms}",
                     file=sys.stderr,
                 )

@@ -1,8 +1,9 @@
 """Labeled graphs for the verifier.
 
 Covers the complete-graph families with appended pendants and paths, role
-bookkeeping, claw detection, and exact stable-partition counting.  Graphs
-are immutable after construction and safe to share across workers.
+bookkeeping, claw detection, exact stable-partition counting and the
+connected-graph census.  Graphs are immutable after construction and safe
+to share across workers.
 
 Vertex sets in the enumerators are int bitmasks, bit ``v - 1`` for vertex
 ``v``; ``stable_masks`` is the one stable-set enumerator of the package.
@@ -11,7 +12,6 @@ Vertex sets in the enumerators are int bitmasks, bit ``v - 1`` for vertex
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from math import factorial, prod
 from types import MappingProxyType
@@ -356,43 +356,19 @@ def count_semi_ordered_stable_partitions(graph, mu) -> int:
     return stable_partition_types(graph).get(mu, 0) * ordered_factor
 
 
-def is_connected(graph) -> bool:
-    if graph.n <= 1:
-        return True
-    seen = {1}
-    frontier = [1]
-    while frontier:
-        v = frontier.pop()
-        for u in graph.neighbors(v):
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return len(seen) == graph.n
-
-
-def are_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
-    """Brute-force isomorphism test for small graphs (ignores roles)."""
-    if g.n != h.n or len(g.edges) != len(h.edges):
-        return False
-    if sorted(map(g.degree, g.vertices)) != sorted(map(h.degree, h.vertices)):
-        return False
-    source = list(g.vertices)
-    for perm in itertools.permutations(h.vertices):
-        mapping = dict(zip(source, perm))
-        if all(
-            (mapping[u], mapping[v]) in h.edges or (mapping[v], mapping[u]) in h.edges
-            for u, v in g.edges
-        ):
-            return True
-    return False
-
-
 def connected_graphs(n: int) -> list[LabeledGraph]:
     """One representative per isomorphism class of connected graphs on n vertices.
 
     Canonical form: the minimum, over all label permutations, of the edge-set
-    bitmask; permutations act through precomputed pair-index remaps.
+    bitmask; permutations act through precomputed pair-index remaps.  Each
+    class is returned as the graph of its canonical mask, in increasing mask
+    order.  Removing a leaf of a spanning tree leaves a graph connected, so
+    every class has a member made of an (n - 1)-vertex representative with
+    vertex n joined to a nonempty subset of its vertices; only those
+    candidates are canonicalized.
     """
+    if n <= 1:
+        return [LabeledGraph(n)]
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     pair_index = {pair: i for i, pair in enumerate(pairs)}
     remaps = []
@@ -403,50 +379,13 @@ def connected_graphs(n: int) -> list[LabeledGraph]:
                 for u, v in pairs
             )
         )
-    reps: dict[int, LabeledGraph] = {}
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        graph = LabeledGraph(n, edges)
-        if not is_connected(graph):
-            continue
-        set_bits = [i for i in range(len(pairs)) if bits >> i & 1]
-        canon = min(sum(1 << remap[i] for i in set_bits) for remap in remaps)
-        if canon not in reps:
-            reps[canon] = graph
-    return [reps[c] for c in sorted(reps)]
-
-
-def random_graph(n: int, rng: random.Random, edge_probability: float = 0.5) -> LabeledGraph:
-    """Seeded Erdos-Renyi style graph; edges drawn in lexicographic pair order."""
-    edges = [
-        (u, v)
-        for u, v in itertools.combinations(range(1, n + 1), 2)
-        if rng.random() < edge_probability
+    canons = set()
+    for rep in connected_graphs(n - 1):
+        rep_bits = [pair_index[e] for e in rep.edges]
+        for joined in range(1, 1 << (n - 1)):
+            set_bits = rep_bits + [pair_index[(v, n)] for v in mask_labels(joined)]
+            canons.add(min(sum(1 << remap[i] for i in set_bits) for remap in remaps))
+    return [
+        LabeledGraph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+        for bits in sorted(canons)
     ]
-    return LabeledGraph(n, edges)
-
-
-def random_relabeling(graph: LabeledGraph, rng: random.Random) -> LabeledGraph:
-    labels = list(graph.vertices)
-    shuffled = labels[:]
-    rng.shuffle(shuffled)
-    return graph.relabel(dict(zip(labels, shuffled)))
-
-
-def validate_roles(graph: LabeledGraph) -> None:
-    """Check the role bookkeeping invariants; raises AssertionError on breakage.
-
-    Every anchor touches exactly one non-body vertex, buoys touch none, and a
-    special pendant has degree 1 with no body neighbor.
-    """
-    roles = graph.roles or {}
-    body = set(graph.labels_with_role(*BODY_ROLES))
-    for v, tag in roles.items():
-        outside = [u for u in graph.neighbors(v) if u not in body]
-        if tag in (ANCHOR, SPECIAL_ANCHOR):
-            assert len(outside) == 1, f"anchor {v} touches {len(outside)} non-body vertices"
-        elif tag == BUOY:
-            assert not outside, f"buoy {v} touches a non-body vertex"
-        elif tag == SPECIAL_PENDANT:
-            assert graph.degree(v) == 1, f"special pendant {v} must have degree 1"
-            assert not (graph.neighbors(v) & body), f"special pendant {v} touches the body"

@@ -68,16 +68,14 @@ class VerificationReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json_dict(self, timing: bool = False, include_instances: bool = True) -> dict:
-        out = {
+    def to_json_dict(self, timing: bool = False) -> dict:
+        return {
             "statement_id": self.statement_id,
             "instances_checked": self.instances_checked,
             "failures": self.failures,
             "wall_time_ms": self.wall_time_ms if timing else 0,
+            "instances": self.instances,
         }
-        if include_instances:
-            out["instances"] = self.instances
-        return out
 
 
 def _finish(statement_id: str, instances: list, started: float) -> VerificationReport:
@@ -332,6 +330,8 @@ def run_cancellation_check(
     lam = tuple(lam)
     if len(lam) < 2 or lam[-1] != 1 or lam[-2] != 1:
         raise ValueError("the shape must end in two parts equal to 1")
+    if sum(lam) != graph.n:
+        raise ValueError(f"the shape has size {sum(lam)}, the graph {graph.n} vertices")
     pendant_set = frozenset(pendant_set)
     body_set = frozenset(body_set)
     if pendant_set & body_set or (pendant_set | body_set) != set(graph.vertices):

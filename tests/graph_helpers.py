@@ -1,0 +1,104 @@
+"""Graph helpers that only the tests use: seeded random graphs and
+relabelings, brute-force connectivity and isomorphism, the role invariants,
+and the brute-force connected-graph census the package's census is checked
+against."""
+
+import itertools
+import random
+
+from chromatic_schur.graphs import (
+    ANCHOR,
+    BODY_ROLES,
+    BUOY,
+    SPECIAL_ANCHOR,
+    SPECIAL_PENDANT,
+    LabeledGraph,
+)
+
+
+def is_connected(graph) -> bool:
+    if graph.n <= 1:
+        return True
+    seen = {1}
+    frontier = [1]
+    while frontier:
+        v = frontier.pop()
+        for u in graph.neighbors(v):
+            if u not in seen:
+                seen.add(u)
+                frontier.append(u)
+    return len(seen) == graph.n
+
+
+def are_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
+    """Brute-force isomorphism test for small graphs (ignores roles)."""
+    if g.n != h.n or len(g.edges) != len(h.edges):
+        return False
+    if sorted(map(g.degree, g.vertices)) != sorted(map(h.degree, h.vertices)):
+        return False
+    source = list(g.vertices)
+    for perm in itertools.permutations(h.vertices):
+        mapping = dict(zip(source, perm))
+        if all(
+            (mapping[u], mapping[v]) in h.edges or (mapping[v], mapping[u]) in h.edges
+            for u, v in g.edges
+        ):
+            return True
+    return False
+
+
+def brute_force_connected_graphs(n: int) -> list[LabeledGraph]:
+    """The census by sweeping every labelled graph on n vertices: keep the
+    first connected member of each class in edge-bitmask order, the class
+    being its least edge bitmask over all label permutations."""
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    pair_index = {pair: i for i, pair in enumerate(pairs)}
+    remaps = [
+        [pair_index[min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])] for u, v in pairs]
+        for p in itertools.permutations(range(1, n + 1))
+    ]
+    reps: dict[int, LabeledGraph] = {}
+    for bits in range(1 << len(pairs)):
+        graph = LabeledGraph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
+        if not is_connected(graph):
+            continue
+        set_bits = [i for i in range(len(pairs)) if bits >> i & 1]
+        canon = min(sum(1 << remap[i] for i in set_bits) for remap in remaps)
+        reps.setdefault(canon, graph)
+    return [reps[c] for c in sorted(reps)]
+
+
+def random_graph(n: int, rng: random.Random, edge_probability: float = 0.5) -> LabeledGraph:
+    """Seeded Erdos-Renyi style graph; edges drawn in lexicographic pair order."""
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(1, n + 1), 2)
+        if rng.random() < edge_probability
+    ]
+    return LabeledGraph(n, edges)
+
+
+def random_relabeling(graph: LabeledGraph, rng: random.Random) -> LabeledGraph:
+    labels = list(graph.vertices)
+    shuffled = labels[:]
+    rng.shuffle(shuffled)
+    return graph.relabel(dict(zip(labels, shuffled)))
+
+
+def validate_roles(graph: LabeledGraph) -> None:
+    """Check the role bookkeeping invariants; raises AssertionError on breakage.
+
+    Every anchor touches exactly one non-body vertex, buoys touch none, and a
+    special pendant has degree 1 with no body neighbor.
+    """
+    roles = graph.roles or {}
+    body = set(graph.labels_with_role(*BODY_ROLES))
+    for v, tag in roles.items():
+        outside = [u for u in graph.neighbors(v) if u not in body]
+        if tag in (ANCHOR, SPECIAL_ANCHOR):
+            assert len(outside) == 1, f"anchor {v} touches {len(outside)} non-body vertices"
+        elif tag == BUOY:
+            assert not outside, f"buoy {v} touches a non-body vertex"
+        elif tag == SPECIAL_PENDANT:
+            assert graph.degree(v) == 1, f"special pendant {v} must have degree 1"
+            assert not (graph.neighbors(v) & body), f"special pendant {v} touches the body"

@@ -23,8 +23,6 @@ from chromatic_schur.graphs import (
     generalized_net,
     generalized_spider,
     path_graph,
-    random_graph,
-    random_relabeling,
     star_graph,
 )
 from chromatic_schur.partitions import partitions_of
@@ -37,6 +35,7 @@ from chromatic_schur.verify import (
     run_spider_recurrence_suite,
     run_structure_suite,
 )
+from graph_helpers import random_graph, random_relabeling
 
 SEED = 20260810
 

@@ -121,6 +121,12 @@ def test_cancel_with_explicit_instance(capsys):
     assert report["failures"] == []
 
 
+def test_cancel_mis_sized_shape_exit_2(capsys):
+    for shape in ("2,1,1", "1,1"):
+        code, out, err = run_cli(capsys, "cancel", "--graph", "GN(3,3)", "--partition", shape)
+        assert code == 2 and out == "" and "size" in err
+
+
 def test_json_reports_byte_identical(capsys):
     code1, out1, _ = run_cli(capsys, "--format", "json", "net-rec", "--n-max", "3")
     code2, out2, _ = run_cli(capsys, "--format", "json", "net-rec", "--n-max", "3")

@@ -23,13 +23,12 @@ from chromatic_schur.graphs import (
     generalized_net,
     generalized_spider,
     path_graph,
-    random_graph,
-    random_relabeling,
     star_graph,
     with_disjoint_path,
 )
 from chromatic_schur.partitions import UNDEFINED, partitions_of
 from chromatic_schur.tabloids import srh_g_tabloids
+from graph_helpers import random_graph, random_relabeling
 
 
 def test_monomial_expansions():

@@ -20,11 +20,11 @@ from chromatic_schur.graphs import (
     connected_graphs,
     generalized_net,
     path_graph,
-    random_graph,
 )
 from chromatic_schur.partitions import partitions_of
 from chromatic_schur.tabloids import srh_g_tabloids
 from chromatic_schur.verify import run_singleton_removal_suite, run_spider_recurrence_suite
+from graph_helpers import random_graph
 
 pytestmark = pytest.mark.slow
 

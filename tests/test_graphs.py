@@ -15,26 +15,29 @@ from chromatic_schur.graphs import (
     SPECIAL_PENDANT,
     LabeledGraph,
     adjacency_masks,
-    are_isomorphic,
     complete_graph,
     connected_graphs,
     count_semi_ordered_stable_partitions,
     generalized_net,
     generalized_spider,
     is_claw_free,
-    is_connected,
     mask_labels,
     max_clique,
     path_graph,
-    random_graph,
-    random_relabeling,
     stable_masks,
     star_graph,
-    validate_roles,
     vertex_mask,
     with_disjoint_path,
 )
 from chromatic_schur.partitions import UNDEFINED, partitions_of
+from graph_helpers import (
+    are_isomorphic,
+    brute_force_connected_graphs,
+    is_connected,
+    random_graph,
+    random_relabeling,
+    validate_roles,
+)
 
 
 def test_graph_validation():
@@ -213,11 +216,25 @@ def test_relabel_and_isomorphism():
 
 
 def test_connected_graph_census():
-    # classes of connected graphs on 1..5 vertices
-    for n, expected in [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21)]:
+    # classes of connected graphs on 1..6 vertices
+    for n, expected in [(1, 1), (2, 1), (3, 2), (4, 6), (5, 21), (6, 112)]:
         graphs = connected_graphs(n)
         assert len(graphs) == expected
         assert all(is_connected(g) for g in graphs)
+        # each representative carries the least edge mask of its class, in increasing order
+        index = {pair: i for i, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
+        masks = [sum(1 << index[e] for e in g.edges) for g in graphs]
+        assert masks == sorted(set(masks))
+        for g, mask in zip(graphs, masks):
+            assert mask == min(
+                sum(1 << index[min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])] for u, v in g.edges)
+                for p in itertools.permutations(range(1, n + 1))
+            )
+    # the sweep over every labelled graph that the census replaces
+    for n in range(6):
+        assert [(g.n, g.edges) for g in connected_graphs(n)] == [
+            (g.n, g.edges) for g in brute_force_connected_graphs(n)
+        ]
 
 
 def test_graph_json_roundtrip():

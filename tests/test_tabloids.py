@@ -182,8 +182,9 @@ def test_grouped_equals_ungrouped_signed_sums():
     filled tabloids, checked as equality of signed counts."""
     import random
 
-    from chromatic_schur.graphs import count_semi_ordered_stable_partitions, random_graph
+    from chromatic_schur.graphs import count_semi_ordered_stable_partitions
     from chromatic_schur.partitions import sort_to_partition
+    from graph_helpers import random_graph
 
     rng = random.Random(4)
     graphs = [complete_graph(4), star_graph(3), generalized_net(3, 2)]

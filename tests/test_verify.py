@@ -107,6 +107,8 @@ def test_cancellation_validates_arguments():
         run_cancellation_check(graph, (2, 1, 1, 1, 1), body, pendants)
     with pytest.raises(ValueError):
         run_cancellation_check(graph, (2, 1, 1, 1, 1), pendants | {6}, body)
+    with pytest.raises(ValueError):
+        run_cancellation_check(graph, (2, 1, 1), pendants, body)
 
 
 def test_positivity_sweep_with_claw_control():
