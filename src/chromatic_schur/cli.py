@@ -292,8 +292,8 @@ def _cancel_reports(args) -> list[VerificationReport]:
         return (
             graph,
             lam,
-            _labels_arg(pendants) if pendants else frozenset(graph.labels_with_role(*PENDANT_ROLES)),
-            _labels_arg(body) if body else frozenset(graph.labels_with_role(*BODY_ROLES)),
+            _labels_arg(pendants) if pendants is not None else frozenset(graph.labels_with_role(*PENDANT_ROLES)),
+            _labels_arg(body) if body is not None else frozenset(graph.labels_with_role(*BODY_ROLES)),
             label,
         )
 

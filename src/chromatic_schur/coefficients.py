@@ -7,10 +7,13 @@
 ``oracle``   applies it by back-substitution through Kostka numbers.
 
 All three must agree on every input; the test suite enforces this.  They are
-not wholly independent.  All three enumerate stable sets with
-``graphs.stable_masks``, which the tests check against brute force.  Grouped
-and oracle also share the monomial expansion, which comes from
-``graphs.stable_partition_types`` and its per-graph cache.
+not wholly independent.  All three enumerate stable sets with the bitmask
+enumerator of ``graphs``, which the tests check against brute force.  The
+tabloid and grouped routes peel rim hooks with the one peel of ``tabloids``,
+which the G-tabloid stream of the verification suites also walks; the tests
+check it against a brute-force tiler.  Grouped and oracle also share the
+monomial expansion, which comes from ``graphs.stable_partition_types`` and
+its per-graph cache.
 """
 
 from __future__ import annotations
@@ -19,72 +22,18 @@ from .coeffvec import MONOMIAL, SCHUR, CoefficientVector
 from .graphs import (
     PENDANT_LAST,
     LabeledGraph,
-    adjacency_masks,
     count_semi_ordered_stable_partitions,
     generalized_net,
-    max_clique,
-    stable_masks,
     stable_partition_types,
-    vertex_mask,
 )
 from .partitions import UNDEFINED, check_partition, partitions_of, sort_to_partition
 from .tableaux import monomial_to_schur
-from .tabloids import bottom_hook_choices, srh_tabloids
+from .tabloids import signed_g_tabloid_count, srh_tabloids
 
 TABLOID = "tabloid"
 GROUPED = "grouped"
 ORACLE = "oracle"
 METHODS = (TABLOID, GROUPED, ORACLE)
-
-# write-once cache of tabloid counters; entries are published atomically
-# under the GIL
-_counters: dict = {}
-
-
-class _TabloidCounter:
-    """Signed count of SRH G-tabloids over one graph.
-
-    Implements the direct sign sum: every tabloid contributes its sign, but
-    states reached through different hook prefixes are shared via a memo on
-    (subdiagram, remaining-vertex bitmask), and whole subtrees are cut when
-    more clique vertices remain than first-column cells (a hook is a stable
-    set, so it holds at most one vertex of any clique).
-    """
-
-    def __init__(self, graph: LabeledGraph):
-        self.n = graph.n
-        self.adj = adjacency_masks(graph)
-        self.clique_mask = vertex_mask(max_clique(graph))
-        self.memo: dict = {}
-
-    def signed_sum(self, shape) -> int:
-        return self._count(shape, (1 << self.n) - 1)
-
-    def _count(self, shape, rem: int) -> int:
-        if not shape:
-            return 1
-        key = (shape, rem)
-        cached = self.memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        if (self.clique_mask & rem).bit_count() <= len(shape):
-            for cells, nsteps, reduced in bottom_hook_choices(shape):
-                sub = 0
-                for group in stable_masks(self.adj, rem, len(cells)):
-                    sub += self._count(reduced, rem ^ group)
-                total += -sub if nsteps & 1 else sub
-        self.memo[key] = total
-        return total
-
-
-def _counter_for(graph: LabeledGraph) -> _TabloidCounter:
-    key = graph.key()
-    ctr = _counters.get(key)
-    if ctr is None:
-        ctr = _TabloidCounter(graph)
-        _counters[key] = ctr
-    return ctr
 
 
 def chromatic_monomial_expansion(graph: LabeledGraph) -> CoefficientVector:
@@ -108,7 +57,7 @@ def schur_coefficient(graph: LabeledGraph, lam, method: str = TABLOID) -> int:
     if sum(lam) != graph.n:
         raise ValueError("partition size must equal the vertex count")
     if method == TABLOID:
-        return _counter_for(graph).signed_sum(lam)
+        return signed_g_tabloid_count(lam, graph)
     mono = chromatic_monomial_expansion(graph)
     if method == GROUPED:
         return sum(t.sign * mono[sort_to_partition(t.content)] for t in srh_tabloids(lam))

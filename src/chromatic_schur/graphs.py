@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
+from functools import lru_cache
 from math import factorial, prod
 from types import MappingProxyType
 
@@ -34,8 +35,8 @@ PENDANT_FIRST = "pendant_first"
 PENDANT_LAST = "pendant_last"
 NET_LABELINGS = (PENDANT_FIRST, PENDANT_LAST)
 
-# write-once per-graph cache of stable_partition_types, keyed by graph.key()
-_partition_types: dict = {}
+# how many graphs, by graph.key(), each per-graph cache keeps
+GRAPH_CACHE_SIZE = 256
 
 
 class LabeledGraph:
@@ -97,9 +98,6 @@ class LabeledGraph:
         if not self.roles:
             return ()
         return tuple(sorted(v for v, tag in self.roles.items() if tag in tags))
-
-    def body_vertices(self) -> tuple[int, ...]:
-        return self.labels_with_role(*BODY_ROLES)
 
     def relabel(self, perm: dict[int, int]) -> "LabeledGraph":
         """Apply a permutation of the labels 1..n."""
@@ -313,14 +311,15 @@ def stable_partition_types(graph):
     One subset DP yields every type at once.  It is memoized on the
     remaining-vertex bitmask, and the lowest remaining vertex always opens
     the next part, so each partition is seen exactly once.  The result is
-    kept per graph and returned read-only.
+    kept per ``graph.key()`` and returned read-only.
     """
-    key = graph.key()
-    types = _partition_types.get(key)
-    if types is None:
-        types = MappingProxyType(_types_of_rest(adjacency_masks(graph), (1 << graph.n) - 1, {}))
-        _partition_types[key] = types
-    return types
+    return _types_for(graph.key())
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _types_for(key) -> MappingProxyType:
+    graph = LabeledGraph(*key)
+    return MappingProxyType(_types_of_rest(adjacency_masks(graph), (1 << graph.n) - 1, {}))
 
 
 def _types_of_rest(adj, remaining: int, memo: dict) -> dict:

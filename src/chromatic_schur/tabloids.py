@@ -12,10 +12,18 @@ at 1, and cells keep their absolute coordinates as hooks are peeled away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .graphs import adjacency_masks, mask_labels, max_clique, stable_masks, vertex_mask
+from .graphs import (
+    GRAPH_CACHE_SIZE,
+    LabeledGraph,
+    adjacency_masks,
+    mask_labels,
+    max_clique,
+    stable_masks,
+    vertex_mask,
+)
 from .partitions import UNDEFINED, Partition, check_partition
 
 Cell = tuple[int, int]
@@ -24,14 +32,14 @@ Cell = tuple[int, int]
 @dataclass(frozen=True)
 class RimHook:
     cells: tuple[Cell, ...]
+    length: int = field(init=False, repr=False, compare=False)
+    north_steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.cells or self.cells[0][1] != 1:
             raise ValueError("a special rim hook must start in the first column")
-
-    @property
-    def length(self) -> int:
-        return len(self.cells)
+        object.__setattr__(self, "length", len(self.cells))
+        object.__setattr__(self, "north_steps", self.steps.count("N"))
 
     @property
     def steps(self) -> tuple[str, ...]:
@@ -39,10 +47,6 @@ class RimHook:
             "N" if r1 != r2 else "E"
             for (r1, _), (r2, _) in zip(self.cells, self.cells[1:])
         )
-
-    @property
-    def north_steps(self) -> int:
-        return sum(1 for (r1, _), (r2, _) in zip(self.cells, self.cells[1:]) if r1 != r2)
 
     def to_json_dict(self) -> dict:
         return {"cells": [list(c) for c in self.cells], "steps": list(self.steps)}
@@ -67,21 +71,8 @@ class SrhTabloid:
 
 
 @dataclass(frozen=True)
-class SrhGTabloid:
-    shape: Partition
-    hooks: tuple[RimHook, ...]
+class SrhGTabloid(SrhTabloid):
     fills: tuple[tuple[int, ...], ...]  # vertex labels per hook, in read order
-
-    @property
-    def content(self) -> tuple[int, ...]:
-        return tuple(h.length for h in self.hooks)
-
-    @property
-    def sign(self) -> int:
-        return -1 if sum(h.north_steps for h in self.hooks) % 2 else 1
-
-    def base(self) -> SrhTabloid:
-        return SrhTabloid(self.shape, self.hooks)
 
     def filling(self) -> dict[Cell, int]:
         out = {}
@@ -108,7 +99,7 @@ class SrhGTabloid:
         return frozenset(verts)
 
     def to_json_dict(self) -> dict:
-        out = self.base().to_json_dict()
+        out = super().to_json_dict()
         out["filling"] = {
             f"[{r},{c}]": v for (r, c), v in sorted(self.filling().items())
         }
@@ -116,9 +107,9 @@ class SrhGTabloid:
 
 
 @lru_cache(maxsize=None)
-def bottom_hook_choices(shape: Partition) -> tuple[tuple[tuple[Cell, ...], int, Partition], ...]:
+def bottom_hook_choices(shape: Partition) -> tuple[tuple[RimHook, Partition], ...]:
     """Every special rim hook of ``shape`` containing the bottom-left cell,
-    shortest first, with its north-step count and the diagram left behind.
+    shortest first, with the diagram left behind.
 
     The hook reaching up to ``top`` covers the whole bottom row and then
     columns shape[r]..shape[r-1] of each row r above; any hook whose removal
@@ -132,8 +123,19 @@ def bottom_hook_choices(shape: Partition) -> tuple[tuple[tuple[Cell, ...], int, 
             cells.extend((r, c) for c in range(shape[r], shape[r - 1] + 1))
         reduced = shape[: top - 1] + tuple(shape[r] - 1 for r in range(top, k))
         reduced = tuple(p for p in reduced if p > 0)
-        out.append((tuple(cells), k - top, reduced))
+        out.append((RimHook(tuple(cells)), reduced))
     return tuple(out)
+
+
+def _graph_masks(graph: LabeledGraph) -> tuple[tuple[int, ...], int]:
+    """Neighbour masks of ``graph`` and the mask of one maximum clique."""
+    return adjacency_masks(graph), vertex_mask(max_clique(graph))
+
+
+def _fits(clique: int, remaining: int, rows: int) -> bool:
+    # every hook ahead holds at most one clique vertex and needs its own
+    # first-column cell, of which ``rows`` remain
+    return (clique & remaining).bit_count() <= rows
 
 
 def srh_tabloids(shape):
@@ -148,8 +150,8 @@ def srh_tabloids(shape):
         if not current:
             yield SrhTabloid(shape, tuple(acc))
             return
-        for cells, _, reduced in bottom_hook_choices(current):
-            acc.append(RimHook(cells))
+        for hook, reduced in bottom_hook_choices(current):
+            acc.append(hook)
             yield from rec(reduced, acc)
             acc.pop()
 
@@ -170,26 +172,65 @@ def srh_g_tabloids(shape, graph):
     shape = check_partition(shape)
     if sum(shape) != graph.n:
         return
-    adj = adjacency_masks(graph)
-    clique = vertex_mask(max_clique(graph))
+    adj, clique = _graph_masks(graph)
 
     def rec(current, remaining, hooks, fills):
         if not current:
             yield SrhGTabloid(shape, tuple(hooks), tuple(fills))
             return
-        # every hook ahead holds at most one clique vertex and needs its own
-        # first-column cell, of which len(current) remain
-        if (clique & remaining).bit_count() > len(current):
+        if not _fits(clique, remaining, len(current)):
             return
-        for cells, _, reduced in bottom_hook_choices(current):
-            for group in stable_masks(adj, remaining, len(cells)):
-                hooks.append(RimHook(cells))
+        for hook, reduced in bottom_hook_choices(current):
+            for group in stable_masks(adj, remaining, hook.length):
+                hooks.append(hook)
                 fills.append(mask_labels(group))
                 yield from rec(reduced, remaining ^ group, hooks, fills)
                 hooks.pop()
                 fills.pop()
 
     yield from rec(shape, (1 << graph.n) - 1, [], [])
+
+
+class _TabloidCounter:
+    """Signed count of SRH G-tabloids over one graph.
+
+    Sums the same tabloids as ``srh_g_tabloids`` without building them:
+    states reached through different hook prefixes are shared via a memo on
+    (subdiagram, remaining-vertex bitmask), and subtrees the clique bound
+    rules out are cut.
+    """
+
+    def __init__(self, graph: LabeledGraph):
+        self.adj, self.clique = _graph_masks(graph)
+        self.memo: dict = {}
+
+    def count(self, shape, rem: int) -> int:
+        if not shape:
+            return 1
+        key = (shape, rem)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        total = 0
+        if _fits(self.clique, rem, len(shape)):
+            for hook, reduced in bottom_hook_choices(shape):
+                sub = 0
+                for group in stable_masks(self.adj, rem, hook.length):
+                    sub += self.count(reduced, rem ^ group)
+                total += -sub if hook.north_steps & 1 else sub
+        self.memo[key] = total
+        return total
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _counter_for(key) -> _TabloidCounter:
+    return _TabloidCounter(LabeledGraph(*key))
+
+
+def signed_g_tabloid_count(shape, graph: LabeledGraph) -> int:
+    """The sum of the signs of every SRH G-tabloid of ``shape`` over
+    ``graph``; the counter and its memo are kept per ``graph.key()``."""
+    return _counter_for(graph.key()).count(shape, (1 << graph.n) - 1)
 
 
 def tabloids_with_bottom_vertex(shape, graph, vertex: int):
@@ -235,7 +276,7 @@ class TabloidPart:
 def split_head_tail(tabloid: SrhGTabloid) -> tuple[TabloidPart, TabloidPart]:
     """Split into the rows of length > 1 (head) and the rows of length 1 (tail)."""
     shape = tabloid.shape
-    h = sum(1 for p in shape if p > 1)
+    h = tabloid.head_row_count()
     head_frags = []
     tail_frags = []
     for hook, verts in zip(tabloid.hooks, tabloid.fills):

@@ -348,7 +348,7 @@ def run_cancellation_check(
     k = len(lam)
     groups: dict = {}
     for t in srh_g_tabloids(lam, graph):
-        head, _ = split_head_tail(t)
+        head, tail = split_head_tail(t)
         g = groups.get(head)
         if g is None:
             g = groups[head] = {"sum": 0, "selected": 0, "total": 0}
@@ -359,8 +359,7 @@ def run_cancellation_check(
         if graph.adjacent(bottom, t.vertex_at((k - 1, 1))):
             continue
         # body vertices sitting in the tail must occupy distinct hooks
-        tail_body = t.tail_vertices() & body_set
-        if any(len(tail_body.intersection(fill)) > 1 for fill in t.fills):
+        if any(len(body_set.intersection(verts)) > 1 for _, verts in tail.fragments):
             continue
         g["sum"] += t.sign
         g["selected"] += 1

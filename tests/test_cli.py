@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -127,6 +128,14 @@ def test_cancel_mis_sized_shape_exit_2(capsys):
         assert code == 2 and out == "" and "size" in err
 
 
+def test_cancel_explicit_empty_sets_exit_2(capsys):
+    # an empty list is the empty set, which does not partition the vertices
+    code, out, err = run_cli(
+        capsys, "cancel", "--graph", "GN(3,3)", "--partition", "2,1,1,1,1", "--pendants=", "--body="
+    )
+    assert code == 2 and out == "" and "partition" in err
+
+
 def test_json_reports_byte_identical(capsys):
     code1, out1, _ = run_cli(capsys, "--format", "json", "net-rec", "--n-max", "3")
     code2, out2, _ = run_cli(capsys, "--format", "json", "net-rec", "--n-max", "3")
@@ -154,6 +163,10 @@ def test_all_runs_every_suite(capsys):
         "f-table",
         "open-spider-coefficients",
     ]
+    # a change that alters report output on purpose updates this digest
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "c9ef7a4ea9c6983cb0dab9c59e43ac10c3d125b89fc063e07a1374af48e1431c"
+    )
 
 
 def test_seed_option_removed(capsys):

@@ -17,6 +17,7 @@ from chromatic_schur.coefficients import (
     xi,
 )
 from chromatic_schur.graphs import (
+    GRAPH_CACHE_SIZE,
     PENDANT_LAST,
     LabeledGraph,
     complete_graph,
@@ -142,6 +143,33 @@ def test_tabloid_count_matches_object_enumerator():
         for lam in partitions_of(graph.n):
             direct = sum(t.sign for t in srh_g_tabloids(lam, graph))
             assert schur_coefficient(graph, lam, TABLOID) == direct
+
+
+def test_per_graph_caches_stay_bounded():
+    """More distinct graphs than the bound leave at most the bound cached,
+    and a graph evicted from both caches still gets its coefficients."""
+    import itertools
+
+    from chromatic_schur import graphs as graphs_module
+    from chromatic_schur import tabloids
+
+    pairs = list(itertools.combinations(range(1, 6), 2))
+    touched = [
+        LabeledGraph(5, [p for i, p in enumerate(pairs) if bits >> i & 1])
+        for bits in range(GRAPH_CACHE_SIZE + 20)
+    ]
+    first = touched[0]
+    expected = {method: schur_expansion(first, method) for method in (TABLOID, GROUPED)}
+    for graph in touched:
+        schur_coefficient(graph, (2, 2, 1), TABLOID)
+        chromatic_monomial_expansion(graph)
+    for cached in (tabloids._counter_for, graphs_module._types_for):
+        info = cached.cache_info()
+        assert info.maxsize == GRAPH_CACHE_SIZE and info.currsize <= GRAPH_CACHE_SIZE
+    assert all(schur_expansion(first, method) == vec for method, vec in expected.items())
+    assert schur_expansion(first, ORACLE) == expected[TABLOID]
+    # the first graph is edgeless, so its coefficients are the f^lambda
+    assert [expected[TABLOID][lam] for lam in ((5,), (4, 1), (3, 2), (3, 1, 1))] == [1, 4, 5, 6]
 
 
 def test_method_agreement_small_sweep():

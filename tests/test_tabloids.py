@@ -20,6 +20,7 @@ from chromatic_schur.tabloids import (
 # Enumerate tilings without the peel order: generate every north/east cell
 # path starting in the first column, backtrack over exact covers of the
 # diagram, then validate the bottom-to-top removal condition by replaying it.
+# Signs come from the north steps counted on these paths.
 
 
 def _all_first_column_paths(shape):
@@ -57,7 +58,8 @@ def _is_partition_diagram(cells):
     return all(widths[i] >= widths[i + 1] for i in range(len(widths) - 1))
 
 
-def brute_force_tiling_count(shape):
+def brute_force_tiling_counts(shape):
+    """The number of tilings and the sum of their signs."""
     cells = frozenset((r + 1, c + 1) for r, width in enumerate(shape) for c in range(width))
     paths = _all_first_column_paths(shape)
 
@@ -68,14 +70,17 @@ def brute_force_tiling_count(shape):
             for path in sorted(chosen, key=lambda p: -p[0][0]):
                 left -= set(path)
                 if not _is_partition_diagram(left):
-                    return 0
-            return 1
+                    return 0, 0
+            north = sum(a[0] != b[0] for path in chosen for a, b in zip(path, path[1:]))
+            return 1, (-1) ** north
         target = max(remaining)  # fill the lowest-rightmost cell next
-        total = 0
+        count = signed = 0
         for path in paths:
             if target in path and set(path) <= remaining:
-                total += covers(remaining - set(path), chosen + [path])
-        return total
+                c, s = covers(remaining - set(path), chosen + [path])
+                count += c
+                signed += s
+        return count, signed
 
     return covers(cells, [])
 
@@ -126,7 +131,8 @@ def test_tiling_invariants():
 def test_peel_count_matches_brute_force_tiler():
     for n in range(0, 9):
         for shape in partitions_of(n):
-            assert len(list(srh_tabloids(shape))) == brute_force_tiling_count(shape)
+            tabs = list(srh_tabloids(shape))
+            assert (len(tabs), sum(t.sign for t in tabs)) == brute_force_tiling_counts(shape)
 
 
 # --- graph-filled tabloids ---------------------------------------------------
@@ -179,7 +185,7 @@ def test_g_tabloid_consistency_sweep():
 
 def test_grouped_equals_ungrouped_signed_sums():
     """The pairing between (tabloid, semi-ordered stable partition) pairs and
-    filled tabloids, checked as equality of signed counts."""
+    filled tabloids, checked as equality of unsigned and of signed counts."""
     import random
 
     from chromatic_schur.graphs import count_semi_ordered_stable_partitions
@@ -191,12 +197,13 @@ def test_grouped_equals_ungrouped_signed_sums():
     graphs += [random_graph(6, rng) for _ in range(8)]
     for graph in graphs:
         for lam in partitions_of(graph.n):
-            direct = sum(t.sign for t in srh_g_tabloids(lam, graph))
-            grouped = sum(
-                t.sign * count_semi_ordered_stable_partitions(graph, sort_to_partition(t.content))
+            filled = list(srh_g_tabloids(lam, graph))
+            pairs = [
+                (t.sign, count_semi_ordered_stable_partitions(graph, sort_to_partition(t.content)))
                 for t in srh_tabloids(lam)
-            )
-            assert direct == grouped
+            ]
+            assert len(filled) == sum(count for _, count in pairs)
+            assert sum(t.sign for t in filled) == sum(sign * count for sign, count in pairs)
 
 
 # --- bottom-vertex classes ----------------------------------------------------
