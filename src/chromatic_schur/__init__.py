@@ -47,8 +47,6 @@ from .tabloids import (
     SrhTabloid,
     split_head_tail,
     srh_g_tabloids,
-    srh_tabloids,
-    tabloids_with_bottom_vertex,
 )
 
 __version__ = "0.1.0"
@@ -86,10 +84,8 @@ __all__ = [
     "sort_to_partition",
     "split_head_tail",
     "srh_g_tabloids",
-    "srh_tabloids",
     "star_graph",
     "strip_trailing_ones",
-    "tabloids_with_bottom_vertex",
     "with_disjoint_path",
     "xi",
 ]

@@ -13,7 +13,7 @@ import json
 import re
 import sys
 
-from .coefficients import METHODS, TABLOID, schur_expansion
+from .coefficients import GROUPED, METHODS, schur_expansion
 from .graphs import (
     NET_LABELINGS,
     PENDANT_ROLES,
@@ -131,7 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("expand", help="Schur expansion of one graph")
     p.add_argument("--graph", required=True, help=GRAPH_SHORTHAND_HELP)
-    p.add_argument("--method", choices=METHODS, default=TABLOID)
+    p.add_argument("--method", choices=METHODS, default=GROUPED)
 
     p = sub.add_parser("net-rec", help="verify the net coefficient recurrence")
     p.add_argument("--n-max", type=int, default=4)

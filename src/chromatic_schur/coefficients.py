@@ -1,19 +1,21 @@
 """Schur coefficients of chromatic symmetric functions, by three routes.
 
-``tabloid``  sums tabloid signs directly, with memoization on
+``grouped``  (the default) applies the inverse Kostka matrix, read from the
+             signed content table of special rim hook tabloids, to the
+             monomial expansion;
+``tabloid``  sums G-tabloid signs directly, with memoization on
              (subdiagram, remaining-vertex-set) states;
-``grouped``  applies the inverse Kostka matrix, as signed special rim hook
-             tabloids, to the monomial expansion;
-``oracle``   applies it by back-substitution through Kostka numbers.
+``oracle``   applies the inverse by back-substitution through Kostka numbers.
 
 All three must agree on every input; the test suite enforces this.  They are
 not wholly independent.  All three enumerate stable sets with the bitmask
 enumerator of ``graphs``, which the tests check against brute force.  The
-tabloid and grouped routes peel rim hooks with the one peel of ``tabloids``,
+grouped and tabloid routes peel rim hooks with the one peel of ``tabloids``,
 which the G-tabloid stream of the verification suites also walks; the tests
 check it against a brute-force tiler.  Grouped and oracle also share the
 monomial expansion, which comes from ``graphs.stable_partition_types`` and
-its per-graph cache.
+its per-graph cache.  The principal-specialization tests share no code with
+any route.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from .graphs import (
     generalized_net,
     stable_partition_types,
 )
-from .partitions import UNDEFINED, check_partition, partitions_of, sort_to_partition
+from .partitions import UNDEFINED, check_partition, partitions_of
 from .tableaux import monomial_to_schur
-from .tabloids import signed_g_tabloid_count, srh_tabloids
+from .tabloids import signed_content_table, signed_g_tabloid_count
 
 TABLOID = "tabloid"
 GROUPED = "grouped"
@@ -48,7 +50,7 @@ def chromatic_monomial_expansion(graph: LabeledGraph) -> CoefficientVector:
     return CoefficientVector(MONOMIAL, coeffs)
 
 
-def schur_coefficient(graph: LabeledGraph, lam, method: str = TABLOID) -> int:
+def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:
     """The coefficient of the Schur function at ``lam`` in the chromatic
     symmetric function of ``graph``."""
     if method not in METHODS:
@@ -60,15 +62,23 @@ def schur_coefficient(graph: LabeledGraph, lam, method: str = TABLOID) -> int:
         return signed_g_tabloid_count(lam, graph)
     mono = chromatic_monomial_expansion(graph)
     if method == GROUPED:
-        return sum(t.sign * mono[sort_to_partition(t.content)] for t in srh_tabloids(lam))
+        return _grouped(lam, mono)
     return monomial_to_schur(mono)[lam]
 
 
-def schur_expansion(graph: LabeledGraph, method: str = TABLOID) -> CoefficientVector:
+def _grouped(lam, mono: CoefficientVector) -> int:
+    return sum(c * mono[mu] for mu, c in signed_content_table(lam).items())
+
+
+def schur_expansion(graph: LabeledGraph, method: str = GROUPED) -> CoefficientVector:
     """Full Schur expansion over all partitions of the vertex count."""
     if method == ORACLE:
         return monomial_to_schur(chromatic_monomial_expansion(graph))
-    coeffs = {lam: schur_coefficient(graph, lam, method) for lam in partitions_of(graph.n)}
+    if method == GROUPED:
+        mono = chromatic_monomial_expansion(graph)
+        coeffs = {lam: _grouped(lam, mono) for lam in partitions_of(graph.n)}
+    else:
+        coeffs = {lam: schur_coefficient(graph, lam, method) for lam in partitions_of(graph.n)}
     return CoefficientVector(SCHUR, coeffs)
 
 
@@ -81,14 +91,14 @@ def xi(lam, graph) -> int:
     lam = check_partition(lam)
     if sum(lam) != graph.n:
         return 0
-    return schur_coefficient(graph, lam, TABLOID)
+    return schur_coefficient(graph, lam)
 
 
 def f_coefficient(c: int, d: int) -> int:
     """Schur coefficient at shape (2^c, 1^d) of the net with c+d body
     vertices and c pendants; zero for negative arguments.
 
-    Always computed by the tabloid route on a pendant-last labeling.  The
+    Computed by the default route on a pendant-last labeling.  The
     c = d = 0 case is the empty diagram on the empty graph, whose single
     empty tabloid gives 1.
     """
@@ -104,7 +114,7 @@ def is_schur_positive(graph: LabeledGraph):
     On failure also returns the witness partition carrying a negative
     coefficient, taking the least such in the canonical partition order.
     """
-    expansion = schur_expansion(graph, TABLOID)
+    expansion = schur_expansion(graph)
     witness = None
     for lam in reversed(partitions_of(graph.n)):
         if expansion[lam] < 0:

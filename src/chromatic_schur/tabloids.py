@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from types import MappingProxyType
 
 from .graphs import (
     GRAPH_CACHE_SIZE,
@@ -138,24 +139,29 @@ def _fits(clique: int, remaining: int, rows: int) -> bool:
     return (clique & remaining).bit_count() <= rows
 
 
-def srh_tabloids(shape):
-    """Yield every special rim hook tabloid of ``shape`` exactly once.
+def signed_content_table(shape) -> MappingProxyType:
+    """The signed count of the special rim hook tabloids of ``shape`` with
+    each sorted content, as a read-only ``{mu: count}`` without zeros.
 
-    Hooks are peeled bottom-to-top; at each step candidates are tried
-    shortest first, fixing a deterministic order.
+    These are the inverse Kostka numbers K^-1(mu, shape) (Egecioglu and
+    Remmel, 1990).  One peel builds the table: each bottom hook's sign times
+    the table of the diagram it leaves, with the hook's length inserted into
+    every content.  Tables are kept per shape for the life of the process.
     """
-    shape = check_partition(shape)
+    return _content_table(check_partition(shape))
 
-    def rec(current: Partition, acc: list[RimHook]):
-        if not current:
-            yield SrhTabloid(shape, tuple(acc))
-            return
-        for hook, reduced in bottom_hook_choices(current):
-            acc.append(hook)
-            yield from rec(reduced, acc)
-            acc.pop()
 
-    yield from rec(shape, [])
+@lru_cache(maxsize=None)
+def _content_table(shape: Partition) -> MappingProxyType:
+    if not shape:
+        return MappingProxyType({(): 1})
+    out = {}
+    for hook, reduced in bottom_hook_choices(shape):
+        sign = -1 if hook.north_steps & 1 else 1
+        for mu, c in _content_table(reduced).items():
+            nu = tuple(sorted(mu + (hook.length,), reverse=True))
+            out[nu] = out.get(nu, 0) + sign * c
+    return MappingProxyType({mu: c for mu, c in out.items() if c})
 
 
 def srh_g_tabloids(shape, graph):
@@ -231,17 +237,6 @@ def signed_g_tabloid_count(shape, graph: LabeledGraph) -> int:
     """The sum of the signs of every SRH G-tabloid of ``shape`` over
     ``graph``; the counter and its memo are kept per ``graph.key()``."""
     return _counter_for(graph.key()).count(shape, (1 << graph.n) - 1)
-
-
-def tabloids_with_bottom_vertex(shape, graph, vertex: int):
-    """Tabloids whose bottom-left cell holds ``vertex``; the shape must end
-    in a part equal to 1."""
-    shape = check_partition(shape)
-    if not shape or shape[-1] != 1:
-        raise ValueError("bottom-vertex filtering needs a shape ending in 1")
-    for t in srh_g_tabloids(shape, graph):
-        if t.fills[0][0] == vertex:
-            yield t
 
 
 @dataclass(frozen=True)

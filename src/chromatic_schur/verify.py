@@ -35,10 +35,12 @@ from .tabloids import split_head_tail, srh_g_tabloids
 # Nominal per-instance cost classes, keyed by vertex count, used to gate
 # expensive optional instances behind --budget-ms.  Deliberately a fixed
 # table rather than measured time, so identical invocations always run the
-# identical instance set.  Memoized coefficient evaluation stays cheap well
-# past 12 vertices; streaming tabloid enumeration does not (the 12-vertex
-# head-group check walks through roughly 4.7e8 filled tabloids, hence the
-# hours-scale entry).
+# identical instance set.  The coefficient prices are those of the memoized
+# tabloid route; the grouped route, which the suites use, is one to two
+# orders of magnitude cheaper, but lower prices would admit more instances
+# and so change the reports.  Streaming tabloid enumeration is the costly
+# kind (the 12-vertex head-group check walks through roughly 4.7e8 filled
+# tabloids, hence the hours-scale entry).
 COEFFICIENT_COST_MS = {9: 1_000, 10: 3_000, 11: 10_000, 12: 30_000, 13: 120_000}
 ENUMERATION_COST_MS = {7: 2_000, 8: 20_000, 9: 120_000, 10: 400_000, 11: 1_800_000, 12: 14_400_000}
 DEFAULT_BUDGET_MS = 30_000

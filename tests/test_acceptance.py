@@ -26,7 +26,6 @@ from chromatic_schur.graphs import (
     star_graph,
 )
 from chromatic_schur.partitions import partitions_of
-from chromatic_schur.tabloids import srh_tabloids
 from chromatic_schur.verify import (
     run_cancellation_check,
     run_net_recurrence_suite,
@@ -36,6 +35,7 @@ from chromatic_schur.verify import (
     run_structure_suite,
 )
 from graph_helpers import random_graph, random_relabeling
+from tabloid_helpers import srh_tabloids
 
 SEED = 20260810
 

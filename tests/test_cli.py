@@ -169,6 +169,19 @@ def test_all_runs_every_suite(capsys):
     )
 
 
+@pytest.mark.slow
+def test_expand_json_digests(capsys):
+    # the same bytes the tabloid route gave when it was the default
+    for graph, digest in (
+        ("GN(6,6)", "13aab5ebeb745821af2493829fec33d578a912c57168e89eea1a1e1eb4f3b1f0"),
+        ("GS(6,[2,1,1,1,1])", "9d1faa436c1c4bf381d4c478a255ceef97f4f8477ea7d7016c7caa3f8aeb30cb"),
+        ("P(12)", "3eb3dba7fe1a7684a1c950a266d25e8b3ac84704fc3d85f809a6cc9072635fb9"),
+    ):
+        code, out, _ = run_cli(capsys, "--format", "json", "expand", "--graph", graph)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, graph
+
+
 def test_seed_option_removed(capsys):
     with pytest.raises(SystemExit):
         main(["--seed", "17", "net-rec", "--n-max", "1"])

@@ -172,6 +172,24 @@ def test_per_graph_caches_stay_bounded():
     assert [expected[TABLOID][lam] for lam in ((5,), (4, 1), (3, 2), (3, 1, 1))] == [1, 4, 5, 6]
 
 
+def test_default_path_leaves_the_tabloid_memo_empty(capsys):
+    """The tabloid route's per-graph memo has no bound on its states, so no
+    default entry point may reach it."""
+    from chromatic_schur import tabloids
+    from chromatic_schur.cli import main
+
+    tabloids._counter_for.cache_clear()
+    net = generalized_net(3, 2)
+    schur_expansion(net)
+    schur_coefficient(net, (2, 1, 1, 1))
+    xi((2, 2, 1), net)
+    is_schur_positive(star_graph(3))
+    f_coefficient(2, 2)
+    assert main(["expand", "--graph", "GN(3,3)"]) == 0
+    capsys.readouterr()
+    assert tabloids._counter_for.cache_info().currsize == 0
+
+
 def test_method_agreement_small_sweep():
     rng = random.Random(5)
     graphs = [complete_graph(4), path_graph(4), star_graph(3), generalized_net(2, 2)]

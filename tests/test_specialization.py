@@ -1,0 +1,102 @@
+"""Principal specialization of the Schur expansions.
+
+Setting the first k variables to 1 and the rest to 0 takes X_G to the
+chromatic polynomial at k, and s_lam to the number of SSYT of shape lam with
+entries at most k.  So every expansion must satisfy
+
+    sum_lam c_lam * s_lam(1^k) = chi_G(k)   for k = 1..n,
+    sum_lam c_lam * f^lam      = n!.
+
+Everything on the right-hand sides is computed here, from the graph's edge
+list alone: chi_G by deletion-contraction, s_lam(1^k) by the hook-content
+formula and f^lam by the hook-length formula.  No code is shared with any
+coefficient route, so a fault common to the routes shows up here.
+"""
+
+import random
+from functools import lru_cache
+from math import factorial, prod
+
+import pytest
+
+from chromatic_schur.coefficients import METHODS, schur_expansion
+from chromatic_schur.graphs import generalized_net, generalized_spider, path_graph, star_graph
+from graph_helpers import random_graph
+
+
+@lru_cache(maxsize=None)
+def chromatic_polynomial(vertex_count: int, edges: frozenset) -> tuple[int, ...]:
+    """Coefficients of chi_G, lowest degree first: chi_G = chi_(G-e) - chi_(G/e)."""
+    if not edges:
+        return (0,) * vertex_count + (1,)
+    u, v = min(edges)
+    rest = edges - {(u, v)}
+    merged = frozenset(
+        (min(a, b), max(a, b))
+        for a, b in ((u if a == v else a, u if b == v else b) for a, b in rest)
+        if a != b
+    )
+    deleted = chromatic_polynomial(vertex_count, rest)
+    contracted = chromatic_polynomial(vertex_count - 1, merged) + (0,)
+    return tuple(d - c for d, c in zip(deleted, contracted))
+
+
+def hook_lengths(lam):
+    conjugate = [sum(1 for part in lam if part > j) for j in range(lam[0])] if lam else []
+    return [lam[i] - j + conjugate[j] - i - 1 for i in range(len(lam)) for j in range(lam[i])]
+
+
+def ssyt_at_most(lam, k: int) -> int:
+    """s_lam(1^k) by the hook-content formula."""
+    contents = [j - i for i in range(len(lam)) for j in range(lam[i])]
+    numerator = prod(k + c for c in contents)
+    denominator = prod(hook_lengths(lam))
+    assert numerator % denominator == 0
+    return numerator // denominator
+
+
+def standard_tableaux(lam) -> int:
+    """f^lam by the hook-length formula."""
+    return factorial(sum(lam)) // prod(hook_lengths(lam))
+
+
+def _graphs():
+    rng = random.Random(20261018)
+    graphs = [star_graph(3)]
+    graphs += [generalized_net(n, m) for n in range(1, 6) for m in range(n + 1) if n + m <= 9]
+    graphs += [
+        generalized_spider(n, legs)
+        for n, legs in (
+            (2, (2,)),
+            (3, (2, 1)),
+            (3, (2, 2, 1)),
+            (4, (2, 1, 1, 1)),
+            (5, (2, 1, 1, 1)),
+            (3, (3, 2, 1)),
+        )
+    ]
+    graphs += [path_graph(k) for k in range(1, 10)]
+    graphs += [random_graph(n, rng) for n in range(2, 10) for _ in range(2)]
+    return graphs
+
+
+GRAPHS = _graphs()
+
+
+def test_hook_formulas_on_known_values():
+    assert [standard_tableaux(lam) for lam in ((3,), (2, 1), (1, 1, 1), (3, 2), (2, 2, 1))] == [1, 2, 1, 5, 5]
+    assert ssyt_at_most((2, 1), 3) == 8 and ssyt_at_most((1, 1, 1), 2) == 0
+    # the triangle: k(k-1)(k-2); the 4-path: k(k-1)^3
+    assert chromatic_polynomial(3, frozenset({(1, 2), (1, 3), (2, 3)})) == (0, 2, -3, 1)
+    assert chromatic_polynomial(4, frozenset({(1, 2), (2, 3), (3, 4)})) == (0, -1, 3, -3, 1)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_principal_specialization(method):
+    for graph in GRAPHS:
+        expansion = schur_expansion(graph, method).items()
+        chi = chromatic_polynomial(graph.n, frozenset(graph.edges))
+        for k in range(1, graph.n + 1):
+            expected = sum(c * k**i for i, c in enumerate(chi))
+            assert sum(c * ssyt_at_most(lam, k) for lam, c in expansion) == expected, (graph, k)
+        assert sum(c * standard_tableaux(lam) for lam, c in expansion) == factorial(graph.n), graph

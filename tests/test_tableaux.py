@@ -6,8 +6,9 @@ from hypothesis import strategies as st
 
 from chromatic_schur.coeffvec import MONOMIAL, SCHUR, CoefficientVector
 from chromatic_schur.partitions import partitions_of, sort_to_partition
-from chromatic_schur.tableaux import kostka_number, monomial_to_schur, schur_to_monomial
-from chromatic_schur.tabloids import srh_tabloids
+from chromatic_schur.tableaux import kostka_matrix, kostka_number, monomial_to_schur, schur_to_monomial
+from chromatic_schur.tabloids import signed_content_table
+from tabloid_helpers import srh_tabloids
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +75,19 @@ def test_kostka_times_signed_rim_hook_tabloids_is_identity():
             for lam in order:
                 total = sum(kostka_number(nu, mu) * kinv.get((mu, lam), 0) for mu in order)
                 assert total == (nu == lam), (nu, lam)
+
+
+def test_kostka_times_signed_content_table_is_identity():
+    # the grouped route reads K^-1 from the signed content table; wider than
+    # the enumerated check above, since the table costs no enumeration
+    for n in range(13):
+        kostka = kostka_matrix(n)
+        for lam in partitions_of(n):
+            table = signed_content_table(lam)
+            column = {}
+            for (nu, mu), k in kostka.items():
+                column[nu] = column.get(nu, 0) + k * table.get(mu, 0)
+            assert {nu: c for nu, c in column.items() if c} == {lam: 1}, lam
 
 
 def test_kostka_examples():

@@ -6,13 +6,9 @@ from chromatic_schur.graphs import (
     star_graph,
     with_disjoint_path,
 )
-from chromatic_schur.partitions import UNDEFINED, partitions_of
-from chromatic_schur.tabloids import (
-    split_head_tail,
-    srh_g_tabloids,
-    srh_tabloids,
-    tabloids_with_bottom_vertex,
-)
+from chromatic_schur.partitions import UNDEFINED, partitions_of, sort_to_partition
+from chromatic_schur.tabloids import signed_content_table, split_head_tail, srh_g_tabloids
+from tabloid_helpers import srh_tabloids, tabloids_with_bottom_vertex
 
 
 # --- independent oracle -----------------------------------------------------
@@ -135,6 +131,19 @@ def test_peel_count_matches_brute_force_tiler():
             assert (len(tabs), sum(t.sign for t in tabs)) == brute_force_tiling_counts(shape)
 
 
+def test_signed_content_table_matches_enumerated_tabloids():
+    for n in range(0, 11):
+        for shape in partitions_of(n):
+            grouped = {}
+            for t in srh_tabloids(shape):
+                mu = sort_to_partition(t.content)
+                grouped[mu] = grouped.get(mu, 0) + t.sign
+            table = signed_content_table(shape)
+            assert dict(table) == {mu: c for mu, c in grouped.items() if c}, shape
+    with pytest.raises(TypeError):
+        table[shape] = 0  # read-only
+
+
 # --- graph-filled tabloids ---------------------------------------------------
 
 
@@ -189,7 +198,6 @@ def test_grouped_equals_ungrouped_signed_sums():
     import random
 
     from chromatic_schur.graphs import count_semi_ordered_stable_partitions
-    from chromatic_schur.partitions import sort_to_partition
     from graph_helpers import random_graph
 
     rng = random.Random(4)
