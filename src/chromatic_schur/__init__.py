@@ -41,13 +41,7 @@ from .partitions import (
     strip_trailing_ones,
 )
 from .tableaux import kostka_number, monomial_to_schur, schur_to_monomial
-from .tabloids import (
-    RimHook,
-    SrhGTabloid,
-    SrhTabloid,
-    split_head_tail,
-    srh_g_tabloids,
-)
+from .tabloids import RimHook, SrhTabloid
 
 __version__ = "0.1.0"
 
@@ -62,7 +56,6 @@ __all__ = [
     "PENDANT_LAST",
     "RimHook",
     "SCHUR",
-    "SrhGTabloid",
     "SrhTabloid",
     "TABLOID",
     "UNDEFINED",
@@ -82,8 +75,6 @@ __all__ = [
     "schur_expansion",
     "schur_to_monomial",
     "sort_to_partition",
-    "split_head_tail",
-    "srh_g_tabloids",
     "star_graph",
     "strip_trailing_ones",
     "with_disjoint_path",

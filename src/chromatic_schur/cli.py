@@ -157,7 +157,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--showcase",
         action="store_true",
-        help="also run the 12-vertex showcase instance (needs a large --budget-ms)",
+        help="also run the 12-vertex showcase instance (gated by --budget-ms)",
     )
     p.set_defaults(run=_cancel_reports)
 

@@ -11,8 +11,8 @@ All three must agree on every input; the test suite enforces this.  They are
 not wholly independent.  All three enumerate stable sets with the bitmask
 enumerator of ``graphs``, which the tests check against brute force.  The
 grouped and tabloid routes peel rim hooks with the one peel of ``tabloids``,
-which the G-tabloid stream of the verification suites also walks; the tests
-check it against a brute-force tiler.  Grouped and oracle also share the
+which the head/tail statistics of the verification suites also walk; the
+tests check it against a brute-force tiler.  Grouped and oracle also share the
 monomial expansion, which comes from ``graphs.stable_partition_types`` and
 its per-graph cache.  The principal-specialization tests share no code with
 any route.
@@ -24,8 +24,8 @@ from .coeffvec import MONOMIAL, SCHUR, CoefficientVector
 from .graphs import (
     PENDANT_LAST,
     LabeledGraph,
-    count_semi_ordered_stable_partitions,
     generalized_net,
+    multiplicity_factorials,
     stable_partition_types,
 )
 from .partitions import UNDEFINED, check_partition, partitions_of
@@ -45,8 +45,10 @@ def chromatic_monomial_expansion(graph: LabeledGraph) -> CoefficientVector:
     type mu: each unordered stable partition contributes the full product of
     size-multiplicity factorials, which is the augmented-monomial expansion.
     """
-    types = stable_partition_types(graph)
-    coeffs = {mu: count_semi_ordered_stable_partitions(graph, mu) for mu in types}
+    coeffs = {
+        mu: count * multiplicity_factorials(mu)
+        for mu, count in stable_partition_types(graph).items()
+    }
     return CoefficientVector(MONOMIAL, coeffs)
 
 

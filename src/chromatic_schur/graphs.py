@@ -351,8 +351,13 @@ def count_semi_ordered_stable_partitions(graph, mu) -> int:
     mu = check_partition(mu)
     if sum(mu) != graph.n:
         raise ValueError("partition size must equal the vertex count")
-    ordered_factor = prod(factorial(r) for r in Counter(mu).values())
-    return stable_partition_types(graph).get(mu, 0) * ordered_factor
+    return stable_partition_types(graph).get(mu, 0) * multiplicity_factorials(mu)
+
+
+def multiplicity_factorials(mu) -> int:
+    """The product of the factorials of the part multiplicities of ``mu``:
+    the number of ways to order the parts of each size among themselves."""
+    return prod(factorial(r) for r in Counter(mu).values())
 
 
 def connected_graphs(n: int) -> list[LabeledGraph]:

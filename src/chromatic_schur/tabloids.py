@@ -25,7 +25,7 @@ from .graphs import (
     stable_masks,
     vertex_mask,
 )
-from .partitions import UNDEFINED, Partition, check_partition
+from .partitions import Partition, check_partition
 
 Cell = tuple[int, int]
 
@@ -69,42 +69,6 @@ class SrhTabloid:
 
     def to_json_dict(self) -> dict:
         return {"shape": list(self.shape), "hooks": [h.to_json_dict() for h in self.hooks]}
-
-
-@dataclass(frozen=True)
-class SrhGTabloid(SrhTabloid):
-    fills: tuple[tuple[int, ...], ...]  # vertex labels per hook, in read order
-
-    def filling(self) -> dict[Cell, int]:
-        out = {}
-        for hook, verts in zip(self.hooks, self.fills):
-            out.update(zip(hook.cells, verts))
-        return out
-
-    def vertex_at(self, cell: Cell) -> int:
-        for hook, verts in zip(self.hooks, self.fills):
-            for c, v in zip(hook.cells, verts):
-                if c == cell:
-                    return v
-        raise KeyError(f"cell {cell} not in the diagram")
-
-    def head_row_count(self) -> int:
-        return sum(1 for p in self.shape if p > 1)
-
-    def tail_vertices(self) -> frozenset:
-        """Vertices sitting in the rows of length 1."""
-        h = self.head_row_count()
-        verts = []
-        for hook, fill in zip(self.hooks, self.fills):
-            verts += [v for (r, _), v in zip(hook.cells, fill) if r > h]
-        return frozenset(verts)
-
-    def to_json_dict(self) -> dict:
-        out = super().to_json_dict()
-        out["filling"] = {
-            f"[{r},{c}]": v for (r, c), v in sorted(self.filling().items())
-        }
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -164,46 +128,13 @@ def _content_table(shape: Partition) -> MappingProxyType:
     return MappingProxyType({mu: c for mu, c in out.items() if c})
 
 
-def srh_g_tabloids(shape, graph):
-    """Yield every SRH G-tabloid of ``shape``: each hook carries a stable set
-    of vertices sorted increasingly outward from its first-column cell, and
-    together the hooks use every vertex exactly once.
-
-    Yields nothing when either argument is UNDEFINED or the sizes differ.
-    The sorted placement is the unique one satisfying the increasing-read
-    condition, so it is enforced by construction rather than filtered.
-    """
-    if shape is UNDEFINED or graph is UNDEFINED:
-        return
-    shape = check_partition(shape)
-    if sum(shape) != graph.n:
-        return
-    adj, clique = _graph_masks(graph)
-
-    def rec(current, remaining, hooks, fills):
-        if not current:
-            yield SrhGTabloid(shape, tuple(hooks), tuple(fills))
-            return
-        if not _fits(clique, remaining, len(current)):
-            return
-        for hook, reduced in bottom_hook_choices(current):
-            for group in stable_masks(adj, remaining, hook.length):
-                hooks.append(hook)
-                fills.append(mask_labels(group))
-                yield from rec(reduced, remaining ^ group, hooks, fills)
-                hooks.pop()
-                fills.pop()
-
-    yield from rec(shape, (1 << graph.n) - 1, [], [])
-
-
 class _TabloidCounter:
     """Signed count of SRH G-tabloids over one graph.
 
-    Sums the same tabloids as ``srh_g_tabloids`` without building them:
-    states reached through different hook prefixes are shared via a memo on
-    (subdiagram, remaining-vertex bitmask), and subtrees the clique bound
-    rules out are cut.
+    Sums the signs without building a tabloid: states reached through
+    different hook prefixes are shared via a memo on (subdiagram,
+    remaining-vertex bitmask), and subtrees the clique bound rules out are
+    cut.
     """
 
     def __init__(self, graph: LabeledGraph):
@@ -268,26 +199,157 @@ class TabloidPart:
         }
 
 
-def split_head_tail(tabloid: SrhGTabloid) -> tuple[TabloidPart, TabloidPart]:
-    """Split into the rows of length > 1 (head) and the rows of length 1 (tail)."""
-    shape = tabloid.shape
-    h = tabloid.head_row_count()
-    head_frags = []
-    tail_frags = []
-    for hook, verts in zip(tabloid.hooks, tabloid.fills):
-        hcells, hverts, tcells, tverts = [], [], [], []
-        for cell, vert in zip(hook.cells, verts):
-            if cell[0] <= h:
-                hcells.append(cell)
-                hverts.append(vert)
-            else:
-                tcells.append((cell[0] - h, cell[1]))
-                tverts.append(vert)
-        if hcells:
-            head_frags.append((tuple(hcells), tuple(hverts)))
-        if tcells:
-            tail_frags.append((tuple(tcells), tuple(tverts)))
-    return (
-        TabloidPart(shape[:h], tuple(head_frags)),
-        TabloidPart(shape[h:], tuple(tail_frags)),
-    )
+# ---------------------------------------------------------------------------
+# head/tail statistics
+#
+# The head is the rows of length > 1 and the tail the rows of length 1 below
+# them, one column wide.  Rows keep their absolute index under the peel, and
+# a hook reads its tail cells before its head cells, so the j tail cells of a
+# hook hold its j smallest vertices.  Both statistics below are computed on
+# (subdiagram, remaining-vertex bitmask) states, never building a tabloid.
+
+
+def _head_rows(shape: Partition) -> int:
+    return sum(1 for p in shape if p > 1)
+
+
+def _low_bits(group: int, j: int) -> int:
+    """The ``j`` lowest set bits of ``group``."""
+    low = 0
+    for _ in range(j):
+        bit = group & -group
+        low |= bit
+        group ^= bit
+    return low
+
+
+def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]:
+    """The number of SRH G-tabloids of ``shape`` over ``graph``, and of those
+    whose tail is nonempty and holds only vertices of ``pendants``.
+
+    The tail holds only pendants when every hook's smallest vertices, one
+    per tail cell of the hook, are pendants.  One memo on (subdiagram,
+    remaining bitmask) keeps both counts.
+    """
+    shape = check_partition(shape)
+    adj, clique = _graph_masks(graph)
+    h = _head_rows(shape)
+    pend = vertex_mask(pendants)
+    memo: dict = {}
+
+    def count(current, rem):
+        if not current:
+            return 1, 1
+        key = (current, rem)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+        total = only_pendants = 0
+        if _fits(clique, rem, len(current)):
+            for hook, reduced in bottom_hook_choices(current):
+                j = sum(1 for r, _ in hook.cells if r > h)
+                for group in stable_masks(adj, rem, hook.length):
+                    a, b = count(reduced, rem ^ group)
+                    total += a
+                    if not _low_bits(group, j) & ~pend:
+                        only_pendants += b
+        memo[key] = total, only_pendants
+        return total, only_pendants
+
+    total, only_pendants = count(shape, (1 << graph.n) - 1)
+    return total, only_pendants if h < len(shape) else 0
+
+
+# how far a hook prefix has met the cancellation selection
+_START, _SELECTED, _PENDING, _REJECTED = range(4)
+
+
+def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
+    """Group the SRH G-tabloids of ``shape`` by head part and return
+    ``{head: [signed selected sum, selected count, class size]}``.
+
+    A tabloid is selected when its bottom cell holds a pendant not adjacent
+    to the vertex in the cell above it, and each hook holds at most one body
+    vertex among its tail cells.  The shape must end in two parts equal to 1.
+
+    Hook prefixes are peeled forward and summed per selection status by
+    (subdiagram, remaining bitmask, head part of the crossing hook).  The
+    tail is one column, so at most one hook crosses into the head, and the
+    hooks below it add nothing to the head part: their prefixes meet in few
+    states.  Once the tail is placed, the head rows left are filled in every
+    way from a memo on (subdiagram, remaining bitmask), and each filling
+    completes the head key.
+    """
+    shape = check_partition(shape)
+    adj, clique = _graph_masks(graph)
+    h = _head_rows(shape)
+    pend = vertex_mask(pendants)
+    bod = vertex_mask(body)
+    full = (1 << graph.n) - 1
+
+    def step(status, group, length, j, rem):
+        # the status after a hook that puts ``group`` in the diagram with
+        # ``j`` tail cells, peeled from a state with ``rem`` remaining
+        if status == _REJECTED or (_low_bits(group, j) & bod).bit_count() > 1:
+            return _REJECTED
+        least = group & -group
+        if status == _START:
+            if not least & pend:
+                return _REJECTED
+            return _PENDING if length == 1 else _SELECTED
+        # a pending bottom vertex is the only one taken so far
+        if status == _PENDING and adj[(full ^ rem).bit_length()] & least:
+            return _REJECTED
+        return _SELECTED
+
+    head_memo: dict = {}
+
+    def heads(current, rem):
+        # every filling of the head rows left: (head fragments, sign)
+        if not current:
+            return (((), 1),)
+        key = (current, rem)
+        cached = head_memo.get(key)
+        if cached is not None:
+            return cached
+        out = []
+        if _fits(clique, rem, len(current)):
+            for hook, reduced in bottom_hook_choices(current):
+                sign = -1 if hook.north_steps & 1 else 1
+                for group in stable_masks(adj, rem, hook.length):
+                    frag = (hook.cells, mask_labels(group))
+                    out += [((frag,) + rest, sign * s) for rest, s in heads(reduced, rem ^ group)]
+        head_memo[key] = out
+        return out
+
+    # by[size]: {(subdiagram, rem, crossing hook's head part): {status:
+    # [count, signed count]}} for the prefixes leaving ``size`` vertices
+    by = [{} for _ in range(graph.n + 1)]
+    by[graph.n][shape, full, ()] = {_START: [1, 1]}
+    groups: dict = {}
+    for size in range(graph.n, -1, -1):
+        for (current, rem, lead), statuses in by[size].items():
+            if len(current) <= h:
+                total = sum(count for count, _ in statuses.values())
+                selected, signed = statuses.get(_SELECTED, (0, 0))
+                for frags, sign in heads(current, rem):
+                    acc = groups.setdefault(lead + frags, [0, 0, 0])
+                    acc[0] += sign * signed
+                    acc[1] += selected
+                    acc[2] += total
+                continue
+            if not _fits(clique, rem, len(current)):
+                continue
+            for hook, reduced in bottom_hook_choices(current):
+                sign = -1 if hook.north_steps & 1 else 1
+                j = sum(1 for r, _ in hook.cells if r > h)
+                for group in stable_masks(adj, rem, hook.length):
+                    # a state with tail rows left has no head part yet
+                    crossing = () if j == hook.length else ((hook.cells[j:], mask_labels(group)[j:]),)
+                    after = by[size - hook.length].setdefault((reduced, rem ^ group, crossing), {})
+                    for status, (count, signed) in statuses.items():
+                        acc = after.setdefault(step(status, group, hook.length, j, rem), [0, 0])
+                        acc[0] += count
+                        acc[1] += sign * signed
+        by[size] = None
+    return {TabloidPart(shape[:h], frags): acc for frags, acc in groups.items()}

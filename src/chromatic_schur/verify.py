@@ -30,7 +30,7 @@ from .graphs import (
     with_disjoint_path,
 )
 from .partitions import partitions_of, strip_trailing_ones
-from .tabloids import split_head_tail, srh_g_tabloids
+from .tabloids import head_class_sums, pendant_tail_counts
 
 # Nominal per-instance cost classes, keyed by vertex count, used to gate
 # expensive optional instances behind --budget-ms.  Deliberately a fixed
@@ -38,17 +38,19 @@ from .tabloids import split_head_tail, srh_g_tabloids
 # identical instance set.  The coefficient prices are those of the memoized
 # tabloid route; the grouped route, which the suites use, is one to two
 # orders of magnitude cheaper, but lower prices would admit more instances
-# and so change the reports.  Streaming tabloid enumeration is the costly
-# kind (the 12-vertex head-group check walks through roughly 4.7e8 filled
-# tabloids, hence the hours-scale entry).
+# and so change the reports.  The enumeration prices are those of the
+# head-group check's dynamic programme on GN(n/2, n/2) at (2,2,1^(n-4)),
+# about twice the 0.1 s measured at 10 vertices, 0.6-0.7 s at 12, 4.2-4.6 s
+# at 14 and 36-38 s at 16 on a 2-core host.  Heads with more rows cost more,
+# since every head class becomes one reported instance.
 COEFFICIENT_COST_MS = {9: 1_000, 10: 3_000, 11: 10_000, 12: 30_000, 13: 120_000}
-ENUMERATION_COST_MS = {7: 2_000, 8: 20_000, 9: 120_000, 10: 400_000, 11: 1_800_000, 12: 14_400_000}
+ENUMERATION_COST_MS = {11: 1_000, 12: 2_000, 13: 5_000, 14: 10_000, 15: 30_000, 16: 80_000}
 DEFAULT_BUDGET_MS = 30_000
 
 
 def nominal_cost_ms(n_vertices: int, kind: str = "coefficient") -> int:
     if kind == "enumeration":
-        if n_vertices <= 6:
+        if n_vertices <= 10:
             return 500
         return ENUMERATION_COST_MS.get(n_vertices, 100_000_000)
     if n_vertices <= 8:
@@ -222,14 +224,7 @@ def _pendant_tail_instance(args) -> dict:
         graph = generalized_net(n, m, labeling)
     else:
         graph = generalized_spider(n, (2,) + (1,) * (m - 1))
-    pendants = frozenset(graph.labels_with_role(*PENDANT_ROLES))
-    offending = 0
-    total = 0
-    for t in srh_g_tabloids(lam, graph):
-        total += 1
-        tail = t.tail_vertices()
-        if tail and tail <= pendants:
-            offending += 1
+    total, offending = pendant_tail_counts(lam, graph, graph.labels_with_role(*PENDANT_ROLES))
     return {
         "params": {"kind": f"{kind}-pendant-tail", "n": n, "m": m, "labeling": labeling, "lambda": list(lam)},
         "lhs": offending,
@@ -347,28 +342,10 @@ def run_cancellation_check(
             raise ValueError(f"body vertex {u} touches more than one pendant")
 
     started = time.monotonic()
-    k = len(lam)
-    groups: dict = {}
-    for t in srh_g_tabloids(lam, graph):
-        head, tail = split_head_tail(t)
-        g = groups.get(head)
-        if g is None:
-            g = groups[head] = {"sum": 0, "selected": 0, "total": 0}
-        g["total"] += 1
-        bottom = t.fills[0][0]
-        if bottom not in pendant_set:
-            continue
-        if graph.adjacent(bottom, t.vertex_at((k - 1, 1))):
-            continue
-        # body vertices sitting in the tail must occupy distinct hooks
-        if any(len(body_set.intersection(verts)) > 1 for _, verts in tail.fragments):
-            continue
-        g["sum"] += t.sign
-        g["selected"] += 1
-
+    groups = head_class_sums(lam, graph, pendant_set, body_set)
     instances = []
     for head in sorted(groups, key=lambda h: h.sort_key()):
-        g = groups[head]
+        lhs, selected, total = groups[head]
         body_pool = body_set - head.vertex_set()
         params = {
             "graph": label or repr(graph),
@@ -380,14 +357,14 @@ def run_cancellation_check(
         if not body_pool:
             status = "skip"
         else:
-            status = "pass" if g["sum"] == 0 else "fail"
+            status = "pass" if lhs == 0 else "fail"
         instances.append(
             {
                 "params": params,
-                "lhs": g["sum"],
+                "lhs": lhs,
                 "rhs": 0,
-                "selected": g["selected"],
-                "head_class_size": g["total"],
+                "selected": selected,
+                "head_class_size": total,
                 "status": status,
             }
         )

@@ -122,6 +122,18 @@ def test_cancel_with_explicit_instance(capsys):
     assert report["failures"] == []
 
 
+def test_cancel_showcase_runs_at_the_default_budget(capsys):
+    code, out, _ = run_cli(capsys, "--format", "json", "cancel", "--showcase")
+    assert code == 0
+    showcase = json.loads(out)["reports"][-1]
+    assert showcase["instances"][0]["params"]["graph"] == "GN(6,6)"
+    assert len(showcase["instances"]) == 2040
+    assert sum(i["head_class_size"] for i in showcase["instances"]) == 466_195_680
+    code, out, err = run_cli(capsys, "--format", "json", "--budget-ms", "1000", "cancel", "--showcase")
+    assert code == 0 and len(json.loads(out)["reports"]) == 2
+    assert "skipping GN(6,6) showcase" in err
+
+
 def test_cancel_mis_sized_shape_exit_2(capsys):
     for shape in ("2,1,1", "1,1"):
         code, out, err = run_cli(capsys, "cancel", "--graph", "GN(3,3)", "--partition", shape)

@@ -28,8 +28,8 @@ from chromatic_schur.graphs import (
     with_disjoint_path,
 )
 from chromatic_schur.partitions import UNDEFINED, partitions_of
-from chromatic_schur.tabloids import srh_g_tabloids
 from graph_helpers import random_graph, random_relabeling
+from tabloid_helpers import srh_g_tabloids
 
 
 def test_monomial_expansions():

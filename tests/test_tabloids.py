@@ -7,8 +7,8 @@ from chromatic_schur.graphs import (
     with_disjoint_path,
 )
 from chromatic_schur.partitions import UNDEFINED, partitions_of, sort_to_partition
-from chromatic_schur.tabloids import signed_content_table, split_head_tail, srh_g_tabloids
-from tabloid_helpers import srh_tabloids, tabloids_with_bottom_vertex
+from chromatic_schur.tabloids import signed_content_table
+from tabloid_helpers import split_head_tail, srh_g_tabloids, srh_tabloids, tabloids_with_bottom_vertex
 
 
 # --- independent oracle -----------------------------------------------------
@@ -287,3 +287,107 @@ def test_tabloid_json_shape():
     assert payload["shape"] == [2, 1]
     assert all(set(h) == {"cells", "steps"} for h in payload["hooks"])
     assert len(payload["filling"]) == 3
+
+
+# --- head/tail statistics against the stream ------------------------------------
+
+
+def _random_pendant_instance(rng):
+    """A graph of at most seven vertices with a valid pendant/body split:
+    each pendant has at most one neighbour, in the body, and each body
+    vertex touches at most one pendant."""
+    import itertools
+
+    from chromatic_schur.graphs import LabeledGraph
+
+    n = rng.randint(2, 7)
+    body_count = rng.randint(1, n)
+    body = list(range(1, body_count + 1))
+    edges = [e for e in itertools.combinations(body, 2) if rng.random() < 0.5]
+    free = body[:]
+    rng.shuffle(free)
+    for p in range(body_count + 1, n + 1):
+        if free and rng.random() < 0.7:
+            edges.append((free.pop(), p))
+    perm = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+    graph = LabeledGraph(n, [(perm[u], perm[v]) for u, v in edges])
+    return graph, frozenset(perm[p] for p in range(body_count + 1, n + 1)), frozenset(perm[b] for b in body)
+
+
+def _stream_head_classes(lam, graph, pendants, body):
+    """The head-group statistics by walking every G-tabloid."""
+    k = len(lam)
+    groups = {}
+    for t in srh_g_tabloids(lam, graph):
+        head, tail = split_head_tail(t)
+        acc = groups.setdefault(head, [0, 0, 0])
+        acc[2] += 1
+        bottom = t.fills[0][0]
+        if bottom not in pendants or graph.adjacent(bottom, t.vertex_at((k - 1, 1))):
+            continue
+        if any(len(body.intersection(verts)) > 1 for _, verts in tail.fragments):
+            continue
+        acc[0] += t.sign
+        acc[1] += 1
+    return groups
+
+
+def test_pendant_tail_counts_match_the_stream():
+    import random
+
+    from chromatic_schur.tabloids import pendant_tail_counts
+
+    rng = random.Random(7)
+    nonzero = 0
+    for _ in range(120):
+        graph, pendants, _ = _random_pendant_instance(rng)
+        lam = rng.choice(partitions_of(graph.n))
+        total = offending = 0
+        for t in srh_g_tabloids(lam, graph):
+            total += 1
+            tail = t.tail_vertices()
+            offending += bool(tail and tail <= pendants)
+        assert pendant_tail_counts(lam, graph, pendants) == (total, offending), (graph, lam, pendants)
+        nonzero += offending > 0
+    assert nonzero >= 20
+
+
+def test_pendant_tail_counts_without_a_tail():
+    # no part equal to 1: the tail is empty, so nothing can offend
+    from chromatic_schur.tabloids import pendant_tail_counts
+
+    graph = with_disjoint_path(with_disjoint_path(star_graph(3), 1), 1)
+    for lam in ((2, 2, 2), (3, 3), (4, 2)):
+        total = sum(1 for _ in srh_g_tabloids(lam, graph))
+        assert total > 0
+        assert pendant_tail_counts(lam, graph, graph.vertices) == (total, 0)
+
+
+def test_head_class_sums_match_the_stream():
+    import json
+    import random
+
+    from chromatic_schur.verify import run_cancellation_check
+
+    rng = random.Random(11)
+    nonzero = 0
+    checked = 0
+    while checked < 60:
+        graph, pendants, body = _random_pendant_instance(rng)
+        shapes = [lam for lam in partitions_of(graph.n) if len(lam) >= 2 and lam[-2:] == (1, 1)]
+        if not shapes:
+            continue
+        lam = rng.choice(shapes)
+        checked += 1
+        want = {
+            json.dumps(head.to_json_dict()): acc
+            for head, acc in _stream_head_classes(lam, graph, pendants, body).items()
+        }
+        report = run_cancellation_check(graph, lam, pendants, body)
+        got = {
+            json.dumps(inst["params"]["head"]): [inst["lhs"], inst["selected"], inst["head_class_size"]]
+            for inst in report.instances
+        }
+        assert got == want, (graph, lam, pendants)
+        nonzero += any(acc[0] for acc in want.values())
+    assert nonzero >= 10
