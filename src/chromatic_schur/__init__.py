@@ -3,9 +3,11 @@
 Coefficients are computed three ways that must agree: signed rim hook
 tabloid sums, and the monomial expansion (stable-partition counts) taken to
 the Schur basis either by signed rim hook tabloids or by Kostka
-back-substitution.  All three share the stable-set enumerator, and the last
-two share the monomial expansion.  Batch suites verify the recurrences and
-positivity statements these coefficients satisfy.
+back-substitution.  All three share the stable-set enumerator: the
+tabloid sums read a per-graph table of stable sets that it builds once, and
+the monomial expansion calls it directly.  The last two share the monomial
+expansion.  Batch suites verify the recurrences and positivity statements
+these coefficients satisfy.
 """
 
 from .coeffvec import MONOMIAL, SCHUR, CoefficientVector
@@ -40,7 +42,7 @@ from .partitions import (
     sort_to_partition,
     strip_trailing_ones,
 )
-from .tableaux import kostka_number, monomial_to_schur, schur_to_monomial
+from .tableaux import kostka_number, monomial_to_schur
 from .tabloids import RimHook, SrhTabloid
 
 __version__ = "0.1.0"
@@ -73,7 +75,6 @@ __all__ = [
     "path_graph",
     "schur_coefficient",
     "schur_expansion",
-    "schur_to_monomial",
     "sort_to_partition",
     "star_graph",
     "strip_trailing_ones",

@@ -300,6 +300,11 @@ def _cancel_reports(args) -> list[VerificationReport]:
     if args.graph is not None:
         graph = parse_graph_shorthand(args.graph)
         lam = parse_partition_text(args.partition)
+        cost = nominal_cost_ms(graph.n, kind="enumeration")
+        if cost > args.budget_ms:
+            raise ValueError(
+                f"cancel on {args.graph}: nominal cost {cost} ms exceeds --budget-ms {args.budget_ms}"
+            )
         runs = [instance(graph, lam, args.graph, args.pendants, args.body)]
     else:
         runs = [

@@ -9,10 +9,12 @@
 
 All three must agree on every input; the test suite enforces this.  They are
 not wholly independent.  All three enumerate stable sets with the bitmask
-enumerator of ``graphs``, which the tests check against brute force.  The
-grouped and tabloid routes peel rim hooks with the one peel of ``tabloids``,
-which the head/tail statistics of the verification suites also walk; the
-tests check it against a brute-force tiler.  Grouped and oracle also share the
+enumerator of ``graphs``, which the tests check against brute force; the
+rim hook peels of ``tabloids`` read a per-graph table of stable sets that
+it builds once, and the tests check that table against it.  The grouped
+and tabloid routes peel rim hooks with the one peel of ``tabloids``, which
+the head/tail statistics of the verification suites also walk; the tests
+check it against a brute-force tiler.  Grouped and oracle also share the
 monomial expansion, which comes from ``graphs.stable_partition_types`` and
 its per-graph cache.  The principal-specialization tests share no code with
 any route.

@@ -92,9 +92,20 @@ def bottom_hook_choices(shape: Partition) -> tuple[tuple[RimHook, Partition], ..
     return tuple(out)
 
 
-def _graph_masks(graph: LabeledGraph) -> tuple[tuple[int, ...], int]:
-    """Neighbour masks of ``graph`` and the mask of one maximum clique."""
-    return adjacency_masks(graph), vertex_mask(max_clique(graph))
+def _graph_masks(graph: LabeledGraph) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
+    """Neighbour masks of ``graph``, the mask of one maximum clique, and the
+    stable-set table: entry ``k`` holds every stable ``k``-set of the whole
+    vertex set, in ``stable_masks`` order.
+
+    A peel keeps the sets of the table that fit its remaining bitmask.  A
+    filtered slice of a lexicographically ordered list keeps that order, so
+    the sets come as ``stable_masks`` on the remaining bitmask would give
+    them, without a walk per state.
+    """
+    adj = adjacency_masks(graph)
+    full = (1 << graph.n) - 1
+    stable = tuple(tuple(stable_masks(adj, full, k)) for k in range(graph.n + 1))
+    return adj, vertex_mask(max_clique(graph)), stable
 
 
 def _fits(clique: int, remaining: int, rows: int) -> bool:
@@ -134,11 +145,12 @@ class _TabloidCounter:
     Sums the signs without building a tabloid: states reached through
     different hook prefixes are shared via a memo on (subdiagram,
     remaining-vertex bitmask), and subtrees the clique bound rules out are
-    cut.
+    cut.  Each hook takes the sets of the graph's stable-set table that fit
+    the remaining bitmask.
     """
 
     def __init__(self, graph: LabeledGraph):
-        self.adj, self.clique = _graph_masks(graph)
+        _, self.clique, self.stable = _graph_masks(graph)
         self.memo: dict = {}
 
     def count(self, shape, rem: int) -> int:
@@ -152,7 +164,9 @@ class _TabloidCounter:
         if _fits(self.clique, rem, len(shape)):
             for hook, reduced in bottom_hook_choices(shape):
                 sub = 0
-                for group in stable_masks(self.adj, rem, hook.length):
+                for group in self.stable[hook.length]:
+                    if group & ~rem:
+                        continue
                     sub += self.count(reduced, rem ^ group)
                 total += -sub if hook.north_steps & 1 else sub
         self.memo[key] = total
@@ -232,7 +246,7 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
     remaining bitmask) keeps both counts.
     """
     shape = check_partition(shape)
-    adj, clique = _graph_masks(graph)
+    _, clique, stable = _graph_masks(graph)
     h = _head_rows(shape)
     pend = vertex_mask(pendants)
     memo: dict = {}
@@ -248,7 +262,9 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
         if _fits(clique, rem, len(current)):
             for hook, reduced in bottom_hook_choices(current):
                 j = sum(1 for r, _ in hook.cells if r > h)
-                for group in stable_masks(adj, rem, hook.length):
+                for group in stable[hook.length]:
+                    if group & ~rem:
+                        continue
                     a, b = count(reduced, rem ^ group)
                     total += a
                     if not _low_bits(group, j) & ~pend:
@@ -281,7 +297,7 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
     completes the head key.
     """
     shape = check_partition(shape)
-    adj, clique = _graph_masks(graph)
+    adj, clique, stable = _graph_masks(graph)
     h = _head_rows(shape)
     pend = vertex_mask(pendants)
     bod = vertex_mask(body)
@@ -316,7 +332,9 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
         if _fits(clique, rem, len(current)):
             for hook, reduced in bottom_hook_choices(current):
                 sign = -1 if hook.north_steps & 1 else 1
-                for group in stable_masks(adj, rem, hook.length):
+                for group in stable[hook.length]:
+                    if group & ~rem:
+                        continue
                     frag = (hook.cells, mask_labels(group))
                     out += [((frag,) + rest, sign * s) for rest, s in heads(reduced, rem ^ group)]
         head_memo[key] = out
@@ -343,7 +361,9 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
             for hook, reduced in bottom_hook_choices(current):
                 sign = -1 if hook.north_steps & 1 else 1
                 j = sum(1 for r, _ in hook.cells if r > h)
-                for group in stable_masks(adj, rem, hook.length):
+                for group in stable[hook.length]:
+                    if group & ~rem:
+                        continue
                     # a state with tail rows left has no head part yet
                     crossing = () if j == hook.length else ((hook.cells[j:], mask_labels(group)[j:]),)
                     after = by[size - hook.length].setdefault((reduced, rem ^ group, crossing), {})

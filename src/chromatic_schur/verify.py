@@ -35,14 +35,17 @@ from .tabloids import head_class_sums, pendant_tail_counts
 # Nominal per-instance cost classes, keyed by vertex count, used to gate
 # expensive optional instances behind --budget-ms.  Deliberately a fixed
 # table rather than measured time, so identical invocations always run the
-# identical instance set.  The coefficient prices are those of the memoized
-# tabloid route; the grouped route, which the suites use, is one to two
-# orders of magnitude cheaper, but lower prices would admit more instances
-# and so change the reports.  The enumeration prices are those of the
-# head-group check's dynamic programme on GN(n/2, n/2) at (2,2,1^(n-4)),
-# about twice the 0.1 s measured at 10 vertices, 0.6-0.7 s at 12, 4.2-4.6 s
-# at 14 and 36-38 s at 16 on a 2-core host.  Heads with more rows cost more,
-# since every head class becomes one reported instance.
+# identical instance set.  The coefficient prices are about three times the
+# cost of the memoized tabloid route, whose peels read a per-graph table of
+# stable sets; the grouped route, which the suites use, is one to two orders
+# of magnitude cheaper still.  They are kept so the same instances run:
+# lower prices would admit more instances and so change the reports.  The
+# enumeration prices are those of the head-group check's dynamic programme
+# on GN(n/2, n/2) at (2,2,1^(n-4)), about twice the 0.1 s measured at 10
+# vertices, 0.6-0.7 s at 12, 4.2-4.6 s at 14 and 36-38 s at 16 on a 2-core
+# host.  The stable-set table has since made that programme about 1.6 times
+# faster; the prices are kept for the same reason.  Heads with more rows
+# cost more, since every head class becomes one reported instance.
 COEFFICIENT_COST_MS = {9: 1_000, 10: 3_000, 11: 10_000, 12: 30_000, 13: 120_000}
 ENUMERATION_COST_MS = {11: 1_000, 12: 2_000, 13: 5_000, 14: 10_000, 15: 30_000, 16: 80_000}
 DEFAULT_BUDGET_MS = 30_000

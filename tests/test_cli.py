@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -132,6 +133,15 @@ def test_cancel_showcase_runs_at_the_default_budget(capsys):
     code, out, err = run_cli(capsys, "--format", "json", "--budget-ms", "1000", "cancel", "--showcase")
     assert code == 0 and len(json.loads(out)["reports"]) == 2
     assert "skipping GN(6,6) showcase" in err
+
+
+def test_cancel_explicit_instance_over_budget_exit_2(capsys):
+    # a 17-vertex net is priced far above the default budget and refused before any work
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "cancel", "--graph", "GN(9,8)", "--partition", "2" + ",1" * 15)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert "nominal cost 100000000 ms exceeds --budget-ms 30000" in err
 
 
 def test_cancel_mis_sized_shape_exit_2(capsys):
