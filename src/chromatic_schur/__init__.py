@@ -3,11 +3,11 @@
 Coefficients are computed three ways that must agree: signed rim hook
 tabloid sums, and the monomial expansion (stable-partition counts) taken to
 the Schur basis either by signed rim hook tabloids or by Kostka
-back-substitution.  All three share the stable-set enumerator: the
-tabloid sums read a per-graph table of stable sets that it builds once, and
-the monomial expansion calls it directly.  The last two share the monomial
-expansion.  Batch suites verify the recurrences and positivity statements
-these coefficients satisfy.
+back-substitution.  All three read stable sets from the one table of
+``graphs.stable_sets``.  The only per-graph result kept between calls is
+the type vector of the monomial expansion, which the last two share; no
+tabloid memo outlives its call.  Batch suites verify the recurrences and
+positivity statements these coefficients satisfy.
 """
 
 from .coeffvec import MONOMIAL, SCHUR, CoefficientVector
@@ -43,7 +43,7 @@ from .partitions import (
     strip_trailing_ones,
 )
 from .tableaux import kostka_number, monomial_to_schur
-from .tabloids import RimHook, SrhTabloid
+from .tabloids import RimHook
 
 __version__ = "0.1.0"
 
@@ -58,7 +58,6 @@ __all__ = [
     "PENDANT_LAST",
     "RimHook",
     "SCHUR",
-    "SrhTabloid",
     "TABLOID",
     "UNDEFINED",
     "chromatic_monomial_expansion",

@@ -339,6 +339,10 @@ def _all_reports(args) -> list[VerificationReport]:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.budget_ms < 0:
+            raise ValueError(f"--budget-ms must be nonnegative, got {args.budget_ms}")
         if args.command == "expand":
             vec = schur_expansion(parse_graph_shorthand(args.graph), args.method)
             if args.format == "json":

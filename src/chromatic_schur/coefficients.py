@@ -8,16 +8,16 @@
 ``oracle``   applies the inverse by back-substitution through Kostka numbers.
 
 All three must agree on every input; the test suite enforces this.  They are
-not wholly independent.  All three enumerate stable sets with the bitmask
-enumerator of ``graphs``, which the tests check against brute force; the
-rim hook peels of ``tabloids`` read a per-graph table of stable sets that
-it builds once, and the tests check that table against it.  The grouped
-and tabloid routes peel rim hooks with the one peel of ``tabloids``, which
-the head/tail statistics of the verification suites also walk; the tests
-check it against a brute-force tiler.  Grouped and oracle also share the
-monomial expansion, which comes from ``graphs.stable_partition_types`` and
-its per-graph cache.  The principal-specialization tests share no code with
-any route.
+not wholly independent.  All three read stable sets from the one table of
+``graphs.stable_sets``, which the tests check against the bitmask
+enumerator, and that against brute force.  The grouped and tabloid routes
+peel rim hooks with the one peel of ``tabloids``, which the head/tail
+statistics of the verification suites also walk; the tests check it
+against a brute-force tiler.  Grouped and oracle also share the monomial
+expansion, which comes from ``graphs.stable_partition_types``.  Its type
+vector, kept per graph, is the only cache keyed by graph; every tabloid
+memo lives for one call.  The principal-specialization tests share no code
+with any route.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .graphs import (
 )
 from .partitions import UNDEFINED, check_partition, partitions_of
 from .tableaux import monomial_to_schur
-from .tabloids import signed_content_table, signed_g_tabloid_count
+from .tabloids import signed_content_table, signed_g_tabloid_counts
 
 TABLOID = "tabloid"
 GROUPED = "grouped"
@@ -63,7 +63,7 @@ def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:
     if sum(lam) != graph.n:
         raise ValueError("partition size must equal the vertex count")
     if method == TABLOID:
-        return signed_g_tabloid_count(lam, graph)
+        return signed_g_tabloid_counts(graph, [lam])[lam]
     mono = chromatic_monomial_expansion(graph)
     if method == GROUPED:
         return _grouped(lam, mono)
@@ -81,8 +81,10 @@ def schur_expansion(graph: LabeledGraph, method: str = GROUPED) -> CoefficientVe
     if method == GROUPED:
         mono = chromatic_monomial_expansion(graph)
         coeffs = {lam: _grouped(lam, mono) for lam in partitions_of(graph.n)}
+    elif method == TABLOID:
+        coeffs = signed_g_tabloid_counts(graph, partitions_of(graph.n))
     else:
-        coeffs = {lam: schur_coefficient(graph, lam, method) for lam in partitions_of(graph.n)}
+        raise ValueError(f"unknown method {method!r}")
     return CoefficientVector(SCHUR, coeffs)
 
 

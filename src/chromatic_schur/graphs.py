@@ -6,7 +6,9 @@ connected-graph census.  Graphs are immutable after construction and safe
 to share across workers.
 
 Vertex sets in the enumerators are int bitmasks, bit ``v - 1`` for vertex
-``v``; ``stable_masks`` is the one stable-set enumerator of the package.
+``v``.  ``stable_sets`` is the one source of stable sets in the package:
+every route and peel reads the table it builds from ``stable_masks``.  The
+type vector of ``stable_partition_types`` is the only result kept per graph.
 """
 
 from __future__ import annotations
@@ -287,6 +289,20 @@ def stable_masks(adj, avail: int, size: int):
     yield from stable_masks(adj, rest, size)
 
 
+def stable_sets(graph) -> tuple[tuple[int, ...], ...]:
+    """The stable-set table of ``graph``: entry ``k`` holds every stable
+    ``k``-set of the whole vertex set, in ``stable_masks`` order.
+
+    A DP state keeps the sets that fit its remaining bitmask.  A filtered
+    slice of a lexicographically ordered list keeps that order, so the sets
+    come as ``stable_masks`` on the remaining bitmask would give them,
+    without a walk per state.  Built by n + 1 walks and not cached.
+    """
+    adj = adjacency_masks(graph)
+    full = (1 << graph.n) - 1
+    return tuple(tuple(stable_masks(adj, full, k)) for k in range(graph.n + 1))
+
+
 def max_clique(graph) -> frozenset:
     """A maximum clique, by branch and bound (fine at desk scale)."""
     best: list[int] = []
@@ -319,24 +335,29 @@ def stable_partition_types(graph):
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _types_for(key) -> MappingProxyType:
     graph = LabeledGraph(*key)
-    return MappingProxyType(_types_of_rest(adjacency_masks(graph), (1 << graph.n) - 1, {}))
+    # opening[v]: the stable sets whose lowest vertex is v, by size and then
+    # in table order, which is the order a walk of the rest would give
+    opening = [[] for _ in range(graph.n + 1)]
+    for groups in stable_sets(graph)[1:]:
+        for group in groups:
+            opening[(group & -group).bit_length()].append(group)
+    return MappingProxyType(_types_of_rest(opening, (1 << graph.n) - 1, {}))
 
 
-def _types_of_rest(adj, remaining: int, memo: dict) -> dict:
+def _types_of_rest(opening, remaining: int, memo: dict) -> dict:
     if not remaining:
         return {(): 1}
     out = memo.get(remaining)
     if out is not None:
         return out
     out = {}
-    v_bit = remaining & -remaining
-    rest = remaining ^ v_bit
-    pool = rest & ~adj[v_bit.bit_length()]
-    for size in range(1, pool.bit_count() + 2):
-        for others in stable_masks(adj, pool, size - 1):
-            for mu, c in _types_of_rest(adj, rest ^ others, memo).items():
-                nu = tuple(sorted(mu + (size,), reverse=True))
-                out[nu] = out.get(nu, 0) + c
+    for group in opening[(remaining & -remaining).bit_length()]:
+        if group & ~remaining:
+            continue
+        size = group.bit_count()
+        for mu, c in _types_of_rest(opening, remaining ^ group, memo).items():
+            nu = tuple(sorted(mu + (size,), reverse=True))
+            out[nu] = out.get(nu, 0) + c
     memo[remaining] = out
     return out
 

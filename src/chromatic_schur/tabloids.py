@@ -16,15 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .graphs import (
-    GRAPH_CACHE_SIZE,
-    LabeledGraph,
-    adjacency_masks,
-    mask_labels,
-    max_clique,
-    stable_masks,
-    vertex_mask,
-)
+from .graphs import LabeledGraph, adjacency_masks, mask_labels, max_clique, stable_sets, vertex_mask
 from .partitions import Partition, check_partition
 
 Cell = tuple[int, int]
@@ -53,24 +45,6 @@ class RimHook:
         return {"cells": [list(c) for c in self.cells], "steps": list(self.steps)}
 
 
-@dataclass(frozen=True)
-class SrhTabloid:
-    shape: Partition
-    hooks: tuple[RimHook, ...]  # bottom-to-top by first-column cell
-
-    @property
-    def content(self) -> tuple[int, ...]:
-        """Hook lengths read from the bottom to the top."""
-        return tuple(h.length for h in self.hooks)
-
-    @property
-    def sign(self) -> int:
-        return -1 if sum(h.north_steps for h in self.hooks) % 2 else 1
-
-    def to_json_dict(self) -> dict:
-        return {"shape": list(self.shape), "hooks": [h.to_json_dict() for h in self.hooks]}
-
-
 @lru_cache(maxsize=None)
 def bottom_hook_choices(shape: Partition) -> tuple[tuple[RimHook, Partition], ...]:
     """Every special rim hook of ``shape`` containing the bottom-left cell,
@@ -90,22 +64,6 @@ def bottom_hook_choices(shape: Partition) -> tuple[tuple[RimHook, Partition], ..
         reduced = tuple(p for p in reduced if p > 0)
         out.append((RimHook(tuple(cells)), reduced))
     return tuple(out)
-
-
-def _graph_masks(graph: LabeledGraph) -> tuple[tuple[int, ...], int, tuple[tuple[int, ...], ...]]:
-    """Neighbour masks of ``graph``, the mask of one maximum clique, and the
-    stable-set table: entry ``k`` holds every stable ``k``-set of the whole
-    vertex set, in ``stable_masks`` order.
-
-    A peel keeps the sets of the table that fit its remaining bitmask.  A
-    filtered slice of a lexicographically ordered list keeps that order, so
-    the sets come as ``stable_masks`` on the remaining bitmask would give
-    them, without a walk per state.
-    """
-    adj = adjacency_masks(graph)
-    full = (1 << graph.n) - 1
-    stable = tuple(tuple(stable_masks(adj, full, k)) for k in range(graph.n + 1))
-    return adj, vertex_mask(max_clique(graph)), stable
 
 
 def _fits(clique: int, remaining: int, rows: int) -> bool:
@@ -139,49 +97,42 @@ def _content_table(shape: Partition) -> MappingProxyType:
     return MappingProxyType({mu: c for mu, c in out.items() if c})
 
 
-class _TabloidCounter:
-    """Signed count of SRH G-tabloids over one graph.
+def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
+    """The sum of the signs of every SRH G-tabloid of each of ``shapes``
+    over ``graph``, as ``{shape: count}``.
 
     Sums the signs without building a tabloid: states reached through
     different hook prefixes are shared via a memo on (subdiagram,
     remaining-vertex bitmask), and subtrees the clique bound rules out are
-    cut.  Each hook takes the sets of the graph's stable-set table that fit
-    the remaining bitmask.
+    cut.  Each hook takes the sets of ``stable_sets(graph)`` that fit the
+    remaining bitmask.  The shapes of one call share the memo, which is
+    dropped when the call returns.
     """
+    clique = vertex_mask(max_clique(graph))
+    stable = stable_sets(graph)
+    memo: dict = {}
 
-    def __init__(self, graph: LabeledGraph):
-        _, self.clique, self.stable = _graph_masks(graph)
-        self.memo: dict = {}
-
-    def count(self, shape, rem: int) -> int:
+    def count(shape, rem):
         if not shape:
             return 1
         key = (shape, rem)
-        cached = self.memo.get(key)
+        cached = memo.get(key)
         if cached is not None:
             return cached
         total = 0
-        if _fits(self.clique, rem, len(shape)):
+        if _fits(clique, rem, len(shape)):
             for hook, reduced in bottom_hook_choices(shape):
                 sub = 0
-                for group in self.stable[hook.length]:
+                for group in stable[hook.length]:
                     if group & ~rem:
                         continue
-                    sub += self.count(reduced, rem ^ group)
+                    sub += count(reduced, rem ^ group)
                 total += -sub if hook.north_steps & 1 else sub
-        self.memo[key] = total
+        memo[key] = total
         return total
 
-
-@lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _counter_for(key) -> _TabloidCounter:
-    return _TabloidCounter(LabeledGraph(*key))
-
-
-def signed_g_tabloid_count(shape, graph: LabeledGraph) -> int:
-    """The sum of the signs of every SRH G-tabloid of ``shape`` over
-    ``graph``; the counter and its memo are kept per ``graph.key()``."""
-    return _counter_for(graph.key()).count(shape, (1 << graph.n) - 1)
+    full = (1 << graph.n) - 1
+    return {shape: count(shape, full) for shape in map(check_partition, shapes)}
 
 
 @dataclass(frozen=True)
@@ -246,7 +197,8 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
     remaining bitmask) keeps both counts.
     """
     shape = check_partition(shape)
-    _, clique, stable = _graph_masks(graph)
+    clique = vertex_mask(max_clique(graph))
+    stable = stable_sets(graph)
     h = _head_rows(shape)
     pend = vertex_mask(pendants)
     memo: dict = {}
@@ -297,7 +249,9 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
     completes the head key.
     """
     shape = check_partition(shape)
-    adj, clique, stable = _graph_masks(graph)
+    adj = adjacency_masks(graph)
+    clique = vertex_mask(max_clique(graph))
+    stable = stable_sets(graph)
     h = _head_rows(shape)
     pend = vertex_mask(pendants)
     bod = vertex_mask(body)

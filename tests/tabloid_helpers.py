@@ -1,10 +1,11 @@
 """Tabloid enumerators that only the tests use.
 
-``srh_tabloids`` lists the special rim hook tabloids one by one; the tests
-compare the signed content table against it and read the golden cases from
-it.  ``srh_g_tabloids`` streams the graph-filled tabloids one by one, a
-small-n reference for the memoized counts of ``chromatic_schur.tabloids``,
-and ``split_head_tail`` cuts one at the head/tail boundary.
+``srh_tabloids`` lists the special rim hook tabloids one by one, as
+``SrhTabloid`` objects; the tests compare the signed content table against
+it and read the golden cases from it.  ``srh_g_tabloids`` streams the
+graph-filled tabloids one by one, a small-n reference for the memoized
+counts of ``chromatic_schur.tabloids``, and ``split_head_tail`` cuts one at
+the head/tail boundary.
 ``tabloids_with_bottom_vertex`` picks out the bottom-cell classes that the
 recurrences split on.
 """
@@ -13,7 +14,25 @@ from dataclasses import dataclass
 
 from chromatic_schur.graphs import adjacency_masks, mask_labels, stable_masks
 from chromatic_schur.partitions import UNDEFINED, Partition, check_partition
-from chromatic_schur.tabloids import Cell, RimHook, SrhTabloid, TabloidPart, bottom_hook_choices
+from chromatic_schur.tabloids import Cell, RimHook, TabloidPart, bottom_hook_choices
+
+
+@dataclass(frozen=True)
+class SrhTabloid:
+    shape: Partition
+    hooks: tuple[RimHook, ...]  # bottom-to-top by first-column cell
+
+    @property
+    def content(self) -> tuple[int, ...]:
+        """Hook lengths read from the bottom to the top."""
+        return tuple(h.length for h in self.hooks)
+
+    @property
+    def sign(self) -> int:
+        return -1 if sum(h.north_steps for h in self.hooks) % 2 else 1
+
+    def to_json_dict(self) -> dict:
+        return {"shape": list(self.shape), "hooks": [h.to_json_dict() for h in self.hooks]}
 
 
 @dataclass(frozen=True)

@@ -144,6 +144,19 @@ def test_cancel_explicit_instance_over_budget_exit_2(capsys):
     assert "nominal cost 100000000 ms exceeds --budget-ms 30000" in err
 
 
+def test_jobs_below_one_exit_2(capsys):
+    # fewer than one worker is refused, not run sequentially
+    for jobs in ("0", "-3"):
+        code, out, err = run_cli(capsys, "--jobs", jobs, "net-rec", "--n-max", "1")
+        assert code == 2 and out == "" and "--jobs must be at least 1" in err
+
+
+def test_negative_budget_exit_2(capsys):
+    # a negative budget is refused, not taken to skip every gated instance
+    code, out, err = run_cli(capsys, "--budget-ms", "-1", "open-coeffs")
+    assert code == 2 and out == "" and "--budget-ms must be nonnegative" in err
+
+
 def test_cancel_mis_sized_shape_exit_2(capsys):
     for shape in ("2,1,1", "1,1"):
         code, out, err = run_cli(capsys, "cancel", "--graph", "GN(3,3)", "--partition", shape)

@@ -64,6 +64,12 @@ def test_monomial_expansion_matches_coloring_enumeration():
     # edgeless, and a separate component: the opening vertex's non-neighbours
     # are the whole remainder, or reach across components
     graphs += [LabeledGraph(5), with_disjoint_path(path_graph(3), 2)]
+    # vertex 1 isolated, so it opens a part alone or with anyone; and the
+    # lowest labels in the smaller of two components
+    graphs += [
+        LabeledGraph(5, [(2, 3), (3, 4), (4, 5), (2, 5)]),
+        LabeledGraph(6, [(1, 2), (3, 4), (4, 5), (5, 6), (3, 6), (3, 5)]),
+    ]
     for graph in graphs:
         expansion = chromatic_monomial_expansion(graph)
         for mu in partitions_of(graph.n):
@@ -146,12 +152,11 @@ def test_tabloid_count_matches_object_enumerator():
 
 
 def test_per_graph_caches_stay_bounded():
-    """More distinct graphs than the bound leave at most the bound cached,
-    and a graph evicted from both caches still gets its coefficients."""
+    """More distinct graphs than the bound leave at most the bound of type
+    vectors cached, and an evicted graph still gets its coefficients."""
     import itertools
 
     from chromatic_schur import graphs as graphs_module
-    from chromatic_schur import tabloids
 
     pairs = list(itertools.combinations(range(1, 6), 2))
     touched = [
@@ -161,25 +166,28 @@ def test_per_graph_caches_stay_bounded():
     first = touched[0]
     expected = {method: schur_expansion(first, method) for method in (TABLOID, GROUPED)}
     for graph in touched:
-        schur_coefficient(graph, (2, 2, 1), TABLOID)
         chromatic_monomial_expansion(graph)
-    for cached in (tabloids._counter_for, graphs_module._types_for):
-        info = cached.cache_info()
-        assert info.maxsize == GRAPH_CACHE_SIZE and info.currsize <= GRAPH_CACHE_SIZE
+    info = graphs_module._types_for.cache_info()
+    assert info.maxsize == GRAPH_CACHE_SIZE and info.currsize <= GRAPH_CACHE_SIZE
     assert all(schur_expansion(first, method) == vec for method, vec in expected.items())
     assert schur_expansion(first, ORACLE) == expected[TABLOID]
     # the first graph is edgeless, so its coefficients are the f^lambda
     assert [expected[TABLOID][lam] for lam in ((5,), (4, 1), (3, 2), (3, 1, 1))] == [1, 4, 5, 6]
 
 
-def test_default_path_leaves_the_tabloid_memo_empty(capsys):
-    """The tabloid route's per-graph memo has no bound on its states, so no
-    default entry point may reach it."""
-    from chromatic_schur import tabloids
+def test_default_path_leaves_the_tabloid_memo_empty(capsys, monkeypatch):
+    """The tabloid route's memo has no bound on its states, so no default
+    entry point may call it."""
+    from chromatic_schur import coefficients
     from chromatic_schur.cli import main
 
-    tabloids._counter_for.cache_clear()
+    def forbidden(*args):
+        raise AssertionError("a default entry point reached the tabloid route")
+
+    monkeypatch.setattr(coefficients, "signed_g_tabloid_counts", forbidden)
     net = generalized_net(3, 2)
+    with pytest.raises(AssertionError):
+        schur_expansion(net, TABLOID)
     schur_expansion(net)
     schur_coefficient(net, (2, 1, 1, 1))
     xi((2, 2, 1), net)
@@ -187,7 +195,6 @@ def test_default_path_leaves_the_tabloid_memo_empty(capsys):
     f_coefficient(2, 2)
     assert main(["expand", "--graph", "GN(3,3)"]) == 0
     capsys.readouterr()
-    assert tabloids._counter_for.cache_info().currsize == 0
 
 
 def test_method_agreement_small_sweep():

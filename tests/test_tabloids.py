@@ -393,20 +393,19 @@ def test_head_class_sums_match_the_stream():
     assert nonzero >= 10
 
 
-# --- the per-graph stable-set table ---------------------------------------------
+# --- the stable-set table ------------------------------------------------------
 
 
 def test_stable_set_table_filtered_to_a_mask_is_the_enumeration():
     import random
 
-    from chromatic_schur.graphs import stable_masks
-    from chromatic_schur.tabloids import _graph_masks
+    from chromatic_schur.graphs import adjacency_masks, stable_masks, stable_sets
     from graph_helpers import random_graph
 
     rng = random.Random(13)
     for _ in range(30):
         graph = random_graph(rng.randint(0, 9), rng, rng.choice((0.0, 0.2, 0.5, 0.8)))
-        adj, _, stable = _graph_masks(graph)
+        adj, stable = adjacency_masks(graph), stable_sets(graph)
         full = (1 << graph.n) - 1
         assert len(stable) == graph.n + 1
         for rem in [full] + [rng.randint(0, full) for _ in range(8)]:
@@ -416,32 +415,35 @@ def test_stable_set_table_filtered_to_a_mask_is_the_enumeration():
 
 
 def test_peels_build_the_stable_set_table_once(monkeypatch):
-    """The rim hook peels read the table, so one call walks stable sets at
-    most once per set size, not once per memo state and hook."""
+    """The rim hook peels and the stable-type DP read the table, so one call
+    walks stable sets at most once per set size, not once per memo state."""
     import random
+    import sys
 
-    from chromatic_schur import tabloids
+    from chromatic_schur import graphs, tabloids
     from chromatic_schur.coefficients import schur_expansion
     from graph_helpers import random_graph
 
     calls = 0
-    walk = tabloids.stable_masks
+    walk = graphs.stable_masks
 
     def counted(*args):
+        # a walk recurses through the module name; count only outer calls
         nonlocal calls
-        calls += 1
+        calls += sys._getframe(1).f_code is not walk.__code__
         return walk(*args)
 
-    monkeypatch.setattr(tabloids, "stable_masks", counted)
+    monkeypatch.setattr(graphs, "stable_masks", counted)
     graph = random_graph(10, random.Random(17))
     net = generalized_net(5, 5)
     pendants, body = frozenset(range(1, 6)), frozenset(range(6, 11))
     lam = (2, 2, 1, 1, 1, 1, 1, 1)
-    tabloids._counter_for.cache_clear()
+    graphs._types_for.cache_clear()
     for run in (
         lambda: schur_expansion(graph, "tabloid"),
         lambda: tabloids.pendant_tail_counts(lam, net, pendants),
         lambda: tabloids.head_class_sums(lam, net, pendants, body),
+        lambda: graphs.stable_partition_types(graph),
     ):
         calls = 0
         run()
