@@ -154,11 +154,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", help="shape, e.g. 2,1,1,1,1")
     p.add_argument("--pendants", help="comma-separated pendant labels (default: pendant roles)")
     p.add_argument("--body", help="comma-separated body labels (default: anchor/buoy roles)")
-    p.add_argument(
-        "--showcase",
-        action="store_true",
-        help="also run the 12-vertex showcase instance (gated by --budget-ms)",
-    )
     p.set_defaults(run=_cancel_reports)
 
     p = sub.add_parser("positivity", help="verify net Schur-positivity, claw as control")
@@ -311,17 +306,6 @@ def _cancel_reports(args) -> list[VerificationReport]:
             instance(generalized_net(n, n, "pendant_first"), lam, f"GN({n},{n})")
             for n, lam in ((3, (2, 1, 1, 1, 1)), (4, (2, 1, 1, 1, 1, 1, 1)))
         ]
-        if args.showcase:
-            graph = generalized_net(6, 6, "pendant_first")
-            cost = nominal_cost_ms(graph.n, kind="enumeration")
-            if cost <= args.budget_ms:
-                runs.append(instance(graph, (2, 2, 1, 1, 1, 1, 1, 1, 1, 1), "GN(6,6)"))
-            else:
-                print(
-                    f"skipping GN(6,6) showcase: nominal cost {cost} ms "
-                    f"exceeds --budget-ms {args.budget_ms}",
-                    file=sys.stderr,
-                )
     return [run_cancellation_check(g, lam, p, b, label=label) for g, lam, p, b, label in runs]
 
 

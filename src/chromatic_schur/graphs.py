@@ -303,23 +303,6 @@ def stable_sets(graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(stable_masks(adj, full, k)) for k in range(graph.n + 1))
 
 
-def max_clique(graph) -> frozenset:
-    """A maximum clique, by branch and bound (fine at desk scale)."""
-    best: list[int] = []
-
-    def grow(current: list[int], candidates: list[int]):
-        nonlocal best
-        if len(current) > len(best):
-            best = current[:]
-        for i, v in enumerate(candidates):
-            if len(current) + len(candidates) - i <= len(best):
-                break
-            grow(current + [v], [u for u in candidates[i + 1 :] if graph.adjacent(u, v)])
-
-    grow([], sorted(graph.vertices))
-    return frozenset(best)
-
-
 def stable_partition_types(graph):
     """Number of unordered partitions of the vertex set into stable parts,
     keyed by the type (sorted part sizes) ``mu``; types with none are absent.

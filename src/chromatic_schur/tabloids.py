@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
-from .graphs import LabeledGraph, adjacency_masks, mask_labels, max_clique, stable_sets, vertex_mask
+from .graphs import LabeledGraph, adjacency_masks, mask_labels, stable_sets, vertex_mask
 from .partitions import Partition, check_partition
 
 Cell = tuple[int, int]
@@ -66,12 +66,6 @@ def bottom_hook_choices(shape: Partition) -> tuple[tuple[RimHook, Partition], ..
     return tuple(out)
 
 
-def _fits(clique: int, remaining: int, rows: int) -> bool:
-    # every hook ahead holds at most one clique vertex and needs its own
-    # first-column cell, of which ``rows`` remain
-    return (clique & remaining).bit_count() <= rows
-
-
 def signed_content_table(shape) -> MappingProxyType:
     """The signed count of the special rim hook tabloids of ``shape`` with
     each sorted content, as a read-only ``{mu: count}`` without zeros.
@@ -103,12 +97,11 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
 
     Sums the signs without building a tabloid: states reached through
     different hook prefixes are shared via a memo on (subdiagram,
-    remaining-vertex bitmask), and subtrees the clique bound rules out are
-    cut.  Each hook takes the sets of ``stable_sets(graph)`` that fit the
-    remaining bitmask.  The shapes of one call share the memo, which is
-    dropped when the call returns.
+    remaining-vertex bitmask).  Each hook takes the sets of
+    ``stable_sets(graph)`` that fit the remaining bitmask, so a state with
+    no complete filling sums to 0.  The shapes of one call share the memo,
+    which is dropped when the call returns.
     """
-    clique = vertex_mask(max_clique(graph))
     stable = stable_sets(graph)
     memo: dict = {}
 
@@ -120,14 +113,13 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
         if cached is not None:
             return cached
         total = 0
-        if _fits(clique, rem, len(shape)):
-            for hook, reduced in bottom_hook_choices(shape):
-                sub = 0
-                for group in stable[hook.length]:
-                    if group & ~rem:
-                        continue
-                    sub += count(reduced, rem ^ group)
-                total += -sub if hook.north_steps & 1 else sub
+        for hook, reduced in bottom_hook_choices(shape):
+            sub = 0
+            for group in stable[hook.length]:
+                if group & ~rem:
+                    continue
+                sub += count(reduced, rem ^ group)
+            total += -sub if hook.north_steps & 1 else sub
         memo[key] = total
         return total
 
@@ -197,7 +189,6 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
     remaining bitmask) keeps both counts.
     """
     shape = check_partition(shape)
-    clique = vertex_mask(max_clique(graph))
     stable = stable_sets(graph)
     h = _head_rows(shape)
     pend = vertex_mask(pendants)
@@ -211,16 +202,15 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
         if cached is not None:
             return cached
         total = only_pendants = 0
-        if _fits(clique, rem, len(current)):
-            for hook, reduced in bottom_hook_choices(current):
-                j = sum(1 for r, _ in hook.cells if r > h)
-                for group in stable[hook.length]:
-                    if group & ~rem:
-                        continue
-                    a, b = count(reduced, rem ^ group)
-                    total += a
-                    if not _low_bits(group, j) & ~pend:
-                        only_pendants += b
+        for hook, reduced in bottom_hook_choices(current):
+            j = sum(1 for r, _ in hook.cells if r > h)
+            for group in stable[hook.length]:
+                if group & ~rem:
+                    continue
+                a, b = count(reduced, rem ^ group)
+                total += a
+                if not _low_bits(group, j) & ~pend:
+                    only_pendants += b
         memo[key] = total, only_pendants
         return total, only_pendants
 
@@ -250,7 +240,6 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
     """
     shape = check_partition(shape)
     adj = adjacency_masks(graph)
-    clique = vertex_mask(max_clique(graph))
     stable = stable_sets(graph)
     h = _head_rows(shape)
     pend = vertex_mask(pendants)
@@ -283,14 +272,13 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
         if cached is not None:
             return cached
         out = []
-        if _fits(clique, rem, len(current)):
-            for hook, reduced in bottom_hook_choices(current):
-                sign = -1 if hook.north_steps & 1 else 1
-                for group in stable[hook.length]:
-                    if group & ~rem:
-                        continue
-                    frag = (hook.cells, mask_labels(group))
-                    out += [((frag,) + rest, sign * s) for rest, s in heads(reduced, rem ^ group)]
+        for hook, reduced in bottom_hook_choices(current):
+            sign = -1 if hook.north_steps & 1 else 1
+            for group in stable[hook.length]:
+                if group & ~rem:
+                    continue
+                frag = (hook.cells, mask_labels(group))
+                out += [((frag,) + rest, sign * s) for rest, s in heads(reduced, rem ^ group)]
         head_memo[key] = out
         return out
 
@@ -309,8 +297,6 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
                     acc[0] += sign * signed
                     acc[1] += selected
                     acc[2] += total
-                continue
-            if not _fits(clique, rem, len(current)):
                 continue
             for hook, reduced in bottom_hook_choices(current):
                 sign = -1 if hook.north_steps & 1 else 1

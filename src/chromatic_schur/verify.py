@@ -35,11 +35,13 @@ from .tabloids import head_class_sums, pendant_tail_counts
 # Nominal per-instance cost classes, keyed by vertex count, used to gate
 # expensive optional instances behind --budget-ms.  Deliberately a fixed
 # table rather than measured time, so identical invocations always run the
-# identical instance set.  The coefficient prices are about three times the
+# identical instance set.  The coefficient prices are two to three times the
 # cost of the memoized tabloid route, whose peels read a per-graph table of
-# stable sets; the grouped route, which the suites use, is one to two orders
-# of magnitude cheaper still.  They are kept so the same instances run:
-# lower prices would admit more instances and so change the reports.  The
+# stable sets.  Its peels no longer prune states that no filling completes,
+# which costs about 20% more on dense nets.  The grouped route, which the
+# suites use, is one to two orders of magnitude cheaper still.  The prices
+# are kept so the same instances run: lower prices would admit more
+# instances and so change the reports.  The
 # enumeration prices are those of the head-group check's dynamic programme
 # on GN(n/2, n/2) at (2,2,1^(n-4)), about twice the 0.1 s measured at 10
 # vertices, 0.6-0.7 s at 12, 4.2-4.6 s at 14 and 36-38 s at 16 on a 2-core
@@ -511,6 +513,12 @@ def _open_families(n: int):
     )
 
 
+def _open_coefficient_instance(args) -> dict:
+    params, lam, body, legs = args
+    value = xi(lam, generalized_spider(body, legs))
+    return {"params": params, "value": value, "negative": value < 0, "status": "report"}
+
+
 def run_open_coefficient_report(
     n_max: int, jobs: int = 1, budget_ms: int = DEFAULT_BUDGET_MS
 ) -> VerificationReport:
@@ -520,26 +528,23 @@ def run_open_coefficient_report(
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
     started = time.monotonic()
-    instances = []
+    # one slot per instance in family order: a skip record, or None for an
+    # instance inside the budget, filled from the mapped results in order
+    slots, params = [], []
     for n in range(3, n_max + 1):
         for family, lam, body, legs in _open_families(n):
             graph = generalized_spider(body, legs)
-            params = {
+            info = {
                 "family": family,
                 "n": n,
                 "lambda": list(lam),
                 "graph": f"GS({body},{list(legs)})",
             }
             if nominal_cost_ms(graph.n) > budget_ms:
-                instances.append({"params": params, "status": "skip", "reason": "budget"})
-                continue
-            value = xi(lam, graph)
-            instances.append(
-                {
-                    "params": params,
-                    "value": value,
-                    "negative": value < 0,
-                    "status": "report",
-                }
-            )
+                slots.append({"params": info, "status": "skip", "reason": "budget"})
+            else:
+                slots.append(None)
+                params.append((info, lam, body, legs))
+    results = iter(_map_instances(_open_coefficient_instance, params, jobs))
+    instances = [next(results) if slot is None else slot for slot in slots]
     return _finish("open-spider-coefficients", instances, started)

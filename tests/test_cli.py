@@ -123,16 +123,21 @@ def test_cancel_with_explicit_instance(capsys):
     assert report["failures"] == []
 
 
-def test_cancel_showcase_runs_at_the_default_budget(capsys):
-    code, out, _ = run_cli(capsys, "--format", "json", "cancel", "--showcase")
+def test_cancel_gn66_runs_at_the_default_budget(capsys):
+    argv = ("cancel", "--graph", "GN(6,6)", "--partition", "2,2,1,1,1,1,1,1,1,1")
+    code, out, _ = run_cli(capsys, "--format", "json", *argv)
     assert code == 0
-    showcase = json.loads(out)["reports"][-1]
-    assert showcase["instances"][0]["params"]["graph"] == "GN(6,6)"
-    assert len(showcase["instances"]) == 2040
-    assert sum(i["head_class_size"] for i in showcase["instances"]) == 466_195_680
-    code, out, err = run_cli(capsys, "--format", "json", "--budget-ms", "1000", "cancel", "--showcase")
-    assert code == 0 and len(json.loads(out)["reports"]) == 2
-    assert "skipping GN(6,6) showcase" in err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e276d1f78abfaf0f1e59a338bf8a3c6e41e126b494a449c30ec9a2138087e08b"
+    )
+    (report,) = json.loads(out)["reports"]
+    assert report["instances"][0]["params"]["graph"] == "GN(6,6)"
+    assert len(report["instances"]) == 2040
+    assert sum(i["head_class_size"] for i in report["instances"]) == 466_195_680
+    # the 12-vertex instance is priced at 2000 ms
+    code, out, err = run_cli(capsys, "--format", "json", "--budget-ms", "1000", *argv)
+    assert code == 2 and out == ""
+    assert "2000 ms" in err
 
 
 def test_cancel_explicit_instance_over_budget_exit_2(capsys):
@@ -220,6 +225,25 @@ def test_expand_json_digests(capsys):
 def test_seed_option_removed(capsys):
     with pytest.raises(SystemExit):
         main(["--seed", "17", "net-rec", "--n-max", "1"])
+
+
+def test_settable_option_count_is_pinned():
+    # every option a user can set, on the main parser and on each command,
+    # help excluded; a change that adds or drops an option updates the pin
+    import argparse
+
+    from chromatic_schur.cli import _build_parser
+
+    def count(parser):
+        total = 0
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                total += sum(count(sub) for sub in action.choices.values())
+            elif action.option_strings and not isinstance(action, argparse._HelpAction):
+                total += 1
+        return total
+
+    assert count(_build_parser()) == 17
 
 
 def test_csv_rows(capsys):

@@ -13,7 +13,7 @@ from chromatic_schur.coefficients import (
     ORACLE,
     TABLOID,
     is_schur_positive,
-    schur_coefficient,
+    schur_expansion,
 )
 from chromatic_schur.graphs import (
     PENDANT_ROLES,
@@ -37,11 +37,14 @@ def test_method_agreement_six_vertex_census_and_seven_vertex_samples():
     graphs += [random_graph(7, rng) for _ in range(100)]
     # degree 10: the strip recursion and the subset DP meet the tabloid route
     graphs += [generalized_net(5, 5), path_graph(10)]
+    # whole expansions, so each route builds its tables once per graph;
+    # test_method_agreement_small_sweep covers the per-partition calls
     for graph in graphs:
+        tabloid = schur_expansion(graph, TABLOID)
+        grouped = schur_expansion(graph, GROUPED)
+        oracle = schur_expansion(graph, ORACLE)
         for lam in partitions_of(graph.n):
-            a = schur_coefficient(graph, lam, TABLOID)
-            assert a == schur_coefficient(graph, lam, GROUPED)
-            assert a == schur_coefficient(graph, lam, ORACLE)
+            assert tabloid[lam] == grouped[lam] == oracle[lam], (graph, lam)
 
 
 def test_pendant_tail_exclusion_up_to_eight_vertices():
@@ -76,7 +79,8 @@ def test_spider_recurrence_wider():
 
 
 def test_cancellation_with_two_row_head():
-    # same shape family as the large showcase instance, scaled to stay fast
+    # the shape family (2,2,1^k) of the 12-vertex GN(6,6) cancel instance in
+    # test_cli, scaled to stay fast
     from chromatic_schur.graphs import BODY_ROLES
     from chromatic_schur.verify import run_cancellation_check
 

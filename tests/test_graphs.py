@@ -22,7 +22,6 @@ from chromatic_schur.graphs import (
     generalized_spider,
     is_claw_free,
     mask_labels,
-    max_clique,
     path_graph,
     stable_masks,
     star_graph,
@@ -199,12 +198,6 @@ def test_net_role_counts():
             assert len(g.labels_with_role(ANCHOR)) == m
             assert len(g.labels_with_role(BUOY)) == n - m
             validate_roles(g)
-
-
-def test_max_clique_on_nets():
-    g = generalized_net(4, 2)
-    assert len(max_clique(g)) == 4
-    assert len(max_clique(path_graph(5))) == 2
 
 
 def test_relabel_and_isomorphism():

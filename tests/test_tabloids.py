@@ -367,7 +367,34 @@ def test_head_class_sums_match_the_stream():
     import json
     import random
 
+    from chromatic_schur.graphs import BODY_ROLES, PENDANT_ROLES
     from chromatic_schur.verify import run_cancellation_check
+
+    def classes(graph, lam, pendants, body):
+        want = {
+            json.dumps(head.to_json_dict()): acc
+            for head, acc in _stream_head_classes(lam, graph, pendants, body).items()
+        }
+        report = run_cancellation_check(graph, lam, pendants, body)
+        got = {
+            json.dumps(inst["params"]["head"]): [inst["lhs"], inst["selected"], inst["head_class_size"]]
+            for inst in report.instances
+        }
+        assert got == want, (graph, lam, pendants)
+        return want
+
+    # nets whose clique outnumbers the rows left in some state: GN(4,2)'s
+    # four-clique already outnumbers the three rows of (4,1,1) at the root,
+    # so that shape has no tabloid
+    for (n, m), lam, size in (
+        ((4, 2), (4, 1, 1), 0),
+        ((3, 3), (2, 2, 1, 1), 42),
+        ((4, 2), (2, 2, 1, 1), 20),
+    ):
+        graph = generalized_net(n, m)
+        pendants = frozenset(graph.labels_with_role(*PENDANT_ROLES))
+        body = frozenset(graph.labels_with_role(*BODY_ROLES))
+        assert len(classes(graph, lam, pendants, body)) == size, (n, m, lam)
 
     rng = random.Random(11)
     nonzero = 0
@@ -379,17 +406,7 @@ def test_head_class_sums_match_the_stream():
             continue
         lam = rng.choice(shapes)
         checked += 1
-        want = {
-            json.dumps(head.to_json_dict()): acc
-            for head, acc in _stream_head_classes(lam, graph, pendants, body).items()
-        }
-        report = run_cancellation_check(graph, lam, pendants, body)
-        got = {
-            json.dumps(inst["params"]["head"]): [inst["lhs"], inst["selected"], inst["head_class_size"]]
-            for inst in report.instances
-        }
-        assert got == want, (graph, lam, pendants)
-        nonzero += any(acc[0] for acc in want.values())
+        nonzero += any(acc[0] for acc in classes(graph, lam, pendants, body).values())
     assert nonzero >= 10
 
 

@@ -209,6 +209,14 @@ def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
     bounded = run_net_recurrence_suite(2, jobs=10_000)
     assert all(w <= (os.cpu_count() or 1) and w <= len(bounded.instances) for w in requested)
     assert bounded.instances == sequential.instances
+    # open-coeffs hands its instances to the pool too, with its budget skips
+    # (two of the three n = 4 instances at 600 ms) kept in place
+    monkeypatch.setattr("chromatic_schur.verify.os.cpu_count", lambda: 2)
+    requested.clear()
+    pooled = run_open_coefficient_report(4, jobs=2, budget_ms=600)
+    assert requested == [2]
+    assert pooled.instances == run_open_coefficient_report(4, jobs=1, budget_ms=600).instances
+    assert [i["status"] for i in pooled.instances] == ["report"] * 3 + ["skip", "skip", "report"]
 
 
 def test_suite_argument_validation():
