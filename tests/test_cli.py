@@ -216,6 +216,11 @@ def test_expand_json_digests(capsys):
         ("GN(6,6)", "13aab5ebeb745821af2493829fec33d578a912c57168e89eea1a1e1eb4f3b1f0"),
         ("GS(6,[2,1,1,1,1])", "9d1faa436c1c4bf381d4c478a255ceef97f4f8477ea7d7016c7caa3f8aeb30cb"),
         ("P(12)", "3eb3dba7fe1a7684a1c950a266d25e8b3ac84704fc3d85f809a6cc9072635fb9"),
+        ("GN(8,8)", "35afef587caf56269f026fa9232e86e2a68be085cecdb7a9341164eaa77e1280"),
+        (
+            "GS(8,[2,1,1,1,1,1,1,1])",
+            "dbb4a2a3da3a0dac0d883f44b4c36c3c474cb120fe814ec0a2b70e6ede3117f6",
+        ),
     ):
         code, out, _ = run_cli(capsys, "--format", "json", "expand", "--graph", graph)
         assert code == 0
