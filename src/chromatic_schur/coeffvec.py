@@ -60,19 +60,6 @@ class CoefficientVector:
     def items(self) -> list[tuple[Partition, int]]:
         return [(mu, self.coeffs[mu]) for mu in self]
 
-    def __add__(self, other: "CoefficientVector") -> "CoefficientVector":
-        if not isinstance(other, CoefficientVector):
-            return NotImplemented
-        if other.basis != self.basis:
-            raise ValueError("cannot add vectors over different bases")
-        merged = dict(self.coeffs)
-        for mu, c in other.coeffs.items():
-            merged[mu] = merged.get(mu, 0) + c
-        return CoefficientVector(self.basis, merged)
-
-    def scaled(self, a: int) -> "CoefficientVector":
-        return CoefficientVector(self.basis, {mu: a * c for mu, c in self.coeffs.items()})
-
     def min_entry(self) -> int:
         return min(self.coeffs.values(), default=0)
 

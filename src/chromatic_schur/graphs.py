@@ -9,6 +9,13 @@ Vertex sets in the enumerators are int bitmasks, bit ``v - 1`` for vertex
 ``v``.  ``stable_sets`` is the one source of stable sets in the package:
 every route and peel reads the table it builds from ``stable_masks``.  The
 type vector of ``stable_partition_types`` is the only result kept per graph.
+
+The type DP alone runs on a relabelled copy of the graph, its vertices
+ordered by descending degree with ties broken by label; the type vector does
+not depend on labels.  Its states count partitions by integer ids, the
+partitions of 0..n numbered by size and then in ``partitions_of`` order,
+and insert a part through a table built once per n.  The rim hook peels and
+the head/tail statistics keep the graph's own labels.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from functools import lru_cache
 from math import factorial, prod
 from types import MappingProxyType
 
-from .partitions import UNDEFINED, check_partition
+from .partitions import UNDEFINED, check_partition, partitions_of
 
 PENDANT = "pendant"
 ANCHOR = "anchor"
@@ -309,40 +316,79 @@ def stable_partition_types(graph):
 
     One subset DP yields every type at once.  It is memoized on the
     remaining-vertex bitmask, and the lowest remaining vertex always opens
-    the next part, so each partition is seen exactly once.  The result is
-    kept per ``graph.key()`` and returned read-only.
+    the next part, so each partition is seen exactly once.  The DP runs on
+    the vertices relabelled by descending degree, ties by label: a lowest
+    vertex of high degree opens few parts, so fewer remaining sets are
+    reached (1 920 rather than 6 177 on GN(8,8)).  A state's counts are
+    keyed by partition id.  It first sums the counts of the rests left by
+    every opening set of one size, then inserts that part once through the
+    table of ``_partition_table``.  The result is kept per ``graph.key()``
+    and returned read-only, keyed by partition tuples.
     """
     return _types_for(graph.key())
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _types_for(key) -> MappingProxyType:
-    graph = LabeledGraph(*key)
-    # opening[v]: the stable sets whose lowest vertex is v, by size and then
-    # in table order, which is the order a walk of the rest would give
-    opening = [[] for _ in range(graph.n + 1)]
-    for groups in stable_sets(graph)[1:]:
+    n, edges = key
+    # only this DP relabels: descending degree, ties by label
+    degree = Counter(itertools.chain.from_iterable(edges))
+    order = sorted(range(1, n + 1), key=lambda v: (-degree[v], v))
+    rank = {v: i for i, v in enumerate(order, 1)}
+    graph = LabeledGraph(n, [(rank[u], rank[v]) for u, v in edges])
+    # opening[v]: (size, the stable sets of that size whose lowest vertex is
+    # v), sizes increasing and each list in table order
+    opening = [{} for _ in range(n + 1)]
+    for size, groups in enumerate(stable_sets(graph)[1:], 1):
         for group in groups:
-            opening[(group & -group).bit_length()].append(group)
-    return MappingProxyType(_types_of_rest(opening, (1 << graph.n) - 1, {}))
+            opening[(group & -group).bit_length()].setdefault(size, []).append(group)
+    opening = [tuple(by_size.items()) for by_size in opening]
+    parts, insert = _partition_table(n)
+    types = _types_of_remaining(opening, insert, (1 << n) - 1, {0: {0: 1}})
+    return MappingProxyType({parts[i]: c for i, c in types.items()})
 
 
-def _types_of_rest(opening, remaining: int, memo: dict) -> dict:
-    if not remaining:
-        return {(): 1}
+def _types_of_remaining(opening, insert, remaining: int, memo: dict) -> dict:
     out = memo.get(remaining)
     if out is not None:
         return out
     out = {}
-    for group in opening[(remaining & -remaining).bit_length()]:
-        if group & ~remaining:
-            continue
-        size = group.bit_count()
-        for mu, c in _types_of_rest(opening, remaining ^ group, memo).items():
-            nu = tuple(sorted(mu + (size,), reverse=True))
-            out[nu] = out.get(nu, 0) + c
+    outside = ~remaining
+    for size, groups in opening[(remaining & -remaining).bit_length()]:
+        summed = {}
+        for group in groups:
+            if not group & outside:
+                for i, c in _types_of_remaining(opening, insert, remaining ^ group, memo).items():
+                    summed[i] = summed.get(i, 0) + c
+        with_part = insert[size]
+        for i, c in summed.items():
+            j = with_part[i]
+            out[j] = out.get(j, 0) + c
     memo[remaining] = out
     return out
+
+
+@lru_cache(maxsize=None)
+def _partition_table(n: int) -> tuple[tuple, tuple]:
+    """The partitions of 0..n numbered by size, then in ``partitions_of``
+    order, and the insertion table of that numbering.
+
+    ``insert[k][i]`` is the number of partition ``i`` with a part ``k``
+    inserted, for every ``i`` of size at most n - k.  The numbering for n is
+    a prefix of the numbering for n + 1.
+    """
+    parts = tuple(mu for size in range(n + 1) for mu in partitions_of(size))
+    ids = {mu: i for i, mu in enumerate(parts)}
+    insert = [()]
+    for k in range(1, n + 1):
+        row = []
+        for mu in parts:
+            if sum(mu) + k > n:
+                break
+            at = sum(1 for part in mu if part >= k)
+            row.append(ids[mu[:at] + (k,) + mu[at:]])
+        insert.append(tuple(row))
+    return parts, tuple(insert)
 
 
 def count_semi_ordered_stable_partitions(graph, mu) -> int:

@@ -85,19 +85,3 @@ def monomial_to_schur(vec: CoefficientVector) -> CoefficientVector:
             w[mu] = val
     return CoefficientVector(SCHUR, w)
 
-
-def schur_to_monomial(vec: CoefficientVector) -> CoefficientVector:
-    """Expand a Schur-basis vector over monomials via the Kostka matrix."""
-    if vec.basis != SCHUR:
-        raise ValueError("expected a schur-basis vector")
-    n = vec.degree()
-    if n is None:
-        return CoefficientVector(MONOMIAL, {})
-    kostka = kostka_matrix(n)
-    out: dict[Partition, int] = {}
-    for lam, c in vec.coeffs.items():
-        for mu in partitions_of(n):
-            k = kostka.get((lam, mu), 0)
-            if k:
-                out[mu] = out.get(mu, 0) + c * k
-    return CoefficientVector(MONOMIAL, out)

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,10 @@ from chromatic_schur.graphs import (
     generalized_spider,
     is_claw_free,
     mask_labels,
+    _partition_table,
     path_graph,
     stable_masks,
+    stable_partition_types,
     star_graph,
     vertex_mask,
     with_disjoint_path,
@@ -166,6 +169,55 @@ def test_stable_partition_singletons_and_cliques():
         for mu in partitions_of(n):
             if any(p >= 2 for p in mu):
                 assert count_semi_ordered_stable_partitions(complete_graph(n), mu) == 0
+
+
+def _brute_force_types(graph) -> dict:
+    """Stable partition counts by type, from every set partition of the
+    vertices built by placing vertex 1, 2, ... into a block or a new one."""
+    counts = Counter()
+    blocks = []
+
+    def place(v):
+        if v > graph.n:
+            counts[tuple(sorted(map(len, blocks), reverse=True))] += 1
+            return
+        for block in blocks:
+            if not any(graph.adjacent(v, u) for u in block):
+                block.append(v)
+                place(v + 1)
+                block.pop()
+        blocks.append([v])
+        place(v + 1)
+        blocks.pop()
+
+    place(1)
+    return dict(counts)
+
+
+def test_stable_partition_types_ignore_labels():
+    rng = random.Random(20261018)
+    cases = [random_graph(n, rng, p) for n in range(6, 10) for p in (0.3, 0.6)]
+    cases += [
+        LabeledGraph(8),
+        LabeledGraph(9, [(1, 5), (5, 9), (2, 6), (6, 7), (3, 8), (4, 8)]),
+    ]
+    for graph in cases:
+        expected = _brute_force_types(graph)
+        assert dict(stable_partition_types(graph)) == expected, graph
+        for _ in range(3):
+            assert dict(stable_partition_types(random_relabeling(graph, rng))) == expected, graph
+    net = dict(stable_partition_types(generalized_net(8, 8, PENDANT_FIRST)))
+    assert dict(stable_partition_types(generalized_net(8, 8, PENDANT_LAST))) == net
+
+
+def test_partition_insertion_table():
+    parts, insert = _partition_table(12)
+    assert parts == tuple(mu for size in range(13) for mu in partitions_of(size))
+    assert _partition_table(9)[0] == parts[: len(_partition_table(9)[0])]
+    for k in range(1, 13):
+        assert len(insert[k]) == sum(1 for mu in parts if sum(mu) + k <= 12)
+        for i, j in enumerate(insert[k]):
+            assert parts[j] == tuple(sorted(parts[i] + (k,), reverse=True))
 
 
 def _graph_avail_size(n):

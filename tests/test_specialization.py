@@ -8,7 +8,8 @@ entries at most k.  So every expansion must satisfy
     sum_lam c_lam * f^lam      = n!.
 
 Everything on the right-hand sides is computed here, from the graph's edge
-list alone: chi_G by deletion-contraction, s_lam(1^k) by the hook-content
+list alone: chi_G by deletion-contraction (or, past its reach, by the closed
+form of a clique with trees hung on it), s_lam(1^k) by the hook-content
 formula and f^lam by the hook-length formula.  No code is shared with any
 coefficient route, so a fault common to the routes shows up here.
 """
@@ -19,9 +20,15 @@ from math import factorial, prod
 
 import pytest
 
-from chromatic_schur.coefficients import METHODS, schur_expansion
-from chromatic_schur.graphs import generalized_net, generalized_spider, path_graph, star_graph
-from graph_helpers import random_graph
+from chromatic_schur.coefficients import GROUPED, METHODS, schur_expansion
+from chromatic_schur.graphs import (
+    BODY_ROLES,
+    generalized_net,
+    generalized_spider,
+    path_graph,
+    star_graph,
+)
+from graph_helpers import is_connected, random_graph
 
 
 @lru_cache(maxsize=None)
@@ -100,3 +107,33 @@ def test_principal_specialization(method):
             expected = sum(c * k**i for i, c in enumerate(chi))
             assert sum(c * ssyt_at_most(lam, k) for lam, c in expansion) == expected, (graph, k)
         assert sum(c * standard_tableaux(lam) for lam, c in expansion) == factorial(graph.n), graph
+
+
+def hung_clique_chromatic_values(graph) -> list[int]:
+    """chi_G(1..n) for a clique on the b body vertices with the other p
+    vertices hung on it as trees: k(k-1)...(k-b+1) * (k-1)^p."""
+    body = set(graph.labels_with_role(*BODY_ROLES))
+    inside = sum(1 for u, v in graph.edges if u in body and v in body)
+    hung = graph.n - len(body)
+    # contracting the clique leaves a connected graph on p + 1 vertices with
+    # p edges, a tree, and each tree vertex colours k - 1 ways
+    assert inside == len(body) * (len(body) - 1) // 2
+    assert is_connected(graph) and graph.edge_count() - inside == hung
+    return [prod(range(k - len(body) + 1, k + 1)) * (k - 1) ** hung for k in range(1, graph.n + 1)]
+
+
+@pytest.mark.slow
+def test_principal_specialization_at_the_frontier():
+    for graph in (generalized_net(4, 3), generalized_spider(3, (2, 2, 1))):
+        chi = chromatic_polynomial(graph.n, frozenset(graph.edges))
+        assert hung_clique_chromatic_values(graph) == [
+            sum(c * k**i for i, c in enumerate(chi)) for k in range(1, graph.n + 1)
+        ]
+    # 16 and 17 vertices, past the reach of deletion-contraction
+    net = generalized_net(8, 8)
+    for graph in (net, generalized_spider(8, (2, 1, 1, 1, 1, 1, 1, 1))):
+        expansion = schur_expansion(graph, GROUPED)
+        for k, expected in enumerate(hung_clique_chromatic_values(graph), 1):
+            assert sum(c * ssyt_at_most(lam, k) for lam, c in expansion.items()) == expected, (graph, k)
+        assert sum(c * standard_tableaux(lam) for lam, c in expansion.items()) == factorial(graph.n)
+    assert schur_expansion(net, GROUPED).min_entry() >= 0

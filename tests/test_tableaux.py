@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from chromatic_schur.coeffvec import MONOMIAL, SCHUR, CoefficientVector
 from chromatic_schur.partitions import partitions_of, sort_to_partition
-from chromatic_schur.tableaux import kostka_matrix, kostka_number, monomial_to_schur, schur_to_monomial
+from chromatic_schur.tableaux import kostka_matrix, kostka_number, monomial_to_schur
 from chromatic_schur.tabloids import signed_content_table
 from tabloid_helpers import srh_tabloids
 
@@ -130,6 +130,27 @@ def test_monomial_to_schur_rejects_wrong_basis():
         monomial_to_schur(CoefficientVector(SCHUR, {(1,): 1}))
 
 
+def schur_to_monomial(vec):
+    """Expand a Schur-basis vector over monomials: m_mu gets the sum of
+    c_lam * K(lam, mu)."""
+    assert vec.basis == SCHUR
+    out = {}
+    for lam, c in vec.coeffs.items():
+        for mu in partitions_of(sum(lam)):
+            out[mu] = out.get(mu, 0) + c * kostka_number(lam, mu)
+    return CoefficientVector(MONOMIAL, out)
+
+
+def linear_combination(*terms):
+    """The vector sum of a * vec over the (a, vec) pairs, all in one basis."""
+    (basis,) = {vec.basis for _, vec in terms}
+    out = {}
+    for a, vec in terms:
+        for mu, c in vec.coeffs.items():
+            out[mu] = out.get(mu, 0) + a * c
+    return CoefficientVector(basis, out)
+
+
 def _schur_vectors(max_degree):
     def build(draw_pairs, n):
         return CoefficientVector(SCHUR, dict(zip(partitions_of(n), draw_pairs)))
@@ -165,8 +186,8 @@ def test_conversion_is_linear(payload):
     n = {len(partitions_of(k)): k for k in range(6)}[len(cs1)]
     v1 = CoefficientVector(MONOMIAL, dict(zip(partitions_of(n), cs1)))
     v2 = CoefficientVector(MONOMIAL, dict(zip(partitions_of(n), cs2)))
-    combined = v1.scaled(a) + v2.scaled(b)
-    expected = monomial_to_schur(v1).scaled(a) + monomial_to_schur(v2).scaled(b)
+    combined = linear_combination((a, v1), (b, v2))
+    expected = linear_combination((a, monomial_to_schur(v1)), (b, monomial_to_schur(v2)))
     assert monomial_to_schur(combined) == expected
 
 
