@@ -84,4 +84,3 @@ def monomial_to_schur(vec: CoefficientVector) -> CoefficientVector:
         if val:
             w[mu] = val
     return CoefficientVector(SCHUR, w)
-
