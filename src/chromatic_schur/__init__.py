@@ -5,7 +5,7 @@ tabloid sums, and the monomial expansion (stable-partition counts) taken to
 the Schur basis either by signed rim hook tabloids or by Kostka
 back-substitution.  All three read stable sets from the one table of
 ``graphs.stable_sets``.  The only per-graph result kept between calls is
-the type vector of the monomial expansion, which the last two share; no
+the monomial expansion's read-only counts, which the last two share; no
 tabloid memo outlives its call.  Batch suites verify the recurrences and
 positivity statements these coefficients satisfy.
 """

@@ -14,8 +14,10 @@ enumerator, and that against brute force.  The grouped and tabloid routes
 peel rim hooks with the one peel of ``tabloids``, which the head/tail
 statistics of the verification suites also walk; the tests check it
 against a brute-force tiler.  Grouped and oracle also share the monomial
-expansion, which comes from ``graphs.stable_partition_types``.  Its type
-vector, kept per graph, is the only cache keyed by graph; every tabloid
+expansion, which comes from ``graphs.semi_ordered_partition_types``.  Its
+semi-ordered counts, the monomial coefficients, kept read-only per graph,
+are the only cache keyed by graph; the grouped route reads a coefficient
+straight from them, with no ``CoefficientVector`` built, and every tabloid
 memo lives for one call.  The principal-specialization tests share no code
 with any route.
 """
@@ -27,8 +29,7 @@ from .graphs import (
     PENDANT_LAST,
     LabeledGraph,
     generalized_net,
-    multiplicity_factorials,
-    stable_partition_types,
+    semi_ordered_partition_types,
 )
 from .partitions import UNDEFINED, check_partition, partitions_of
 from .tableaux import monomial_to_schur
@@ -47,11 +48,7 @@ def chromatic_monomial_expansion(graph: LabeledGraph) -> CoefficientVector:
     type mu: each unordered stable partition contributes the full product of
     size-multiplicity factorials, which is the augmented-monomial expansion.
     """
-    coeffs = {
-        mu: count * multiplicity_factorials(mu)
-        for mu, count in stable_partition_types(graph).items()
-    }
-    return CoefficientVector(MONOMIAL, coeffs)
+    return CoefficientVector(MONOMIAL, semi_ordered_partition_types(graph))
 
 
 def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:
@@ -64,14 +61,14 @@ def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:
         raise ValueError("partition size must equal the vertex count")
     if method == TABLOID:
         return signed_g_tabloid_counts(graph, [lam])[lam]
-    mono = chromatic_monomial_expansion(graph)
     if method == GROUPED:
-        return _grouped(lam, mono)
-    return monomial_to_schur(mono)[lam]
+        return _grouped(lam, semi_ordered_partition_types(graph))
+    return monomial_to_schur(chromatic_monomial_expansion(graph))[lam]
 
 
-def _grouped(lam, mono: CoefficientVector) -> int:
-    return sum(c * mono[mu] for mu, c in signed_content_table(lam).items())
+def _grouped(lam, mono) -> int:
+    # mono: the cached monomial coefficients, zero entries absent
+    return sum(c * mono.get(mu, 0) for mu, c in signed_content_table(lam).items())
 
 
 def schur_expansion(graph: LabeledGraph, method: str = GROUPED) -> CoefficientVector:
@@ -79,7 +76,7 @@ def schur_expansion(graph: LabeledGraph, method: str = GROUPED) -> CoefficientVe
     if method == ORACLE:
         return monomial_to_schur(chromatic_monomial_expansion(graph))
     if method == GROUPED:
-        mono = chromatic_monomial_expansion(graph)
+        mono = semi_ordered_partition_types(graph)
         coeffs = {lam: _grouped(lam, mono) for lam in partitions_of(graph.n)}
     elif method == TABLOID:
         coeffs = signed_g_tabloid_counts(graph, partitions_of(graph.n))

@@ -8,11 +8,13 @@ to share across workers.
 Vertex sets in the enumerators are int bitmasks, bit ``v - 1`` for vertex
 ``v``.  ``stable_sets`` is the one source of stable sets in the package:
 every route and peel reads the table it builds from ``stable_masks``.  The
-type vector of ``stable_partition_types`` is the only result kept per graph.
+semi-ordered counts of ``semi_ordered_partition_types``, the monomial
+coefficients, are the only result kept per graph; ``stable_partition_types``
+divides them back to unordered counts.
 
 The type DP alone runs on a relabelled copy of the graph, its vertices
-ordered by descending degree with ties broken by label; the type vector does
-not depend on labels.  Its states count partitions by integer ids, the
+ordered by descending degree with ties broken by label; the counts do not
+depend on labels.  Its states count partitions by integer ids, the
 partitions of 0..n numbered by size and then in ``partitions_of`` order,
 and insert a part through a table built once per n.  The rim hook peels and
 the head/tail statistics keep the graph's own labels.
@@ -314,16 +316,31 @@ def stable_partition_types(graph):
     """Number of unordered partitions of the vertex set into stable parts,
     keyed by the type (sorted part sizes) ``mu``; types with none are absent.
 
+    Read off the semi-ordered counts of ``semi_ordered_partition_types`` by
+    dividing out the size-multiplicity factorials; not kept between calls.
+    """
+    counts = semi_ordered_partition_types(graph)
+    return MappingProxyType({mu: c // multiplicity_factorials(mu) for mu, c in counts.items()})
+
+
+def semi_ordered_partition_types(graph):
+    """Number of partitions of the vertex set into stable parts of each type
+    ``mu``, where parts of equal size additionally carry an order; types with
+    none are absent.  These are the monomial coefficients of the chromatic
+    symmetric function.
+
     One subset DP yields every type at once.  It is memoized on the
     remaining-vertex bitmask, and the lowest remaining vertex always opens
-    the next part, so each partition is seen exactly once.  The DP runs on
-    the vertices relabelled by descending degree, ties by label: a lowest
-    vertex of high degree opens few parts, so fewer remaining sets are
-    reached (1 920 rather than 6 177 on GN(8,8)).  A state's counts are
+    the next part, so each unordered partition is seen exactly once.  The DP
+    runs on the vertices relabelled by descending degree, ties by label: a
+    lowest vertex of high degree opens few parts, so fewer remaining sets
+    are reached (1 920 rather than 6 177 on GN(8,8)).  A state's counts are
     keyed by partition id.  It first sums the counts of the rests left by
     every opening set of one size, then inserts that part once through the
-    table of ``_partition_table``.  The result is kept per ``graph.key()``
-    and returned read-only, keyed by partition tuples.
+    table of ``_partition_table``.  Each unordered count is then multiplied
+    by the factorials of its size multiplicities.  The result is kept per
+    ``graph.key()`` and returned read-only, keyed by partition tuples, so a
+    caller that asks for one coefficient at a time reads it without a copy.
     """
     return _types_for(graph.key())
 
@@ -345,7 +362,9 @@ def _types_for(key) -> MappingProxyType:
     opening = [tuple(by_size.items()) for by_size in opening]
     parts, insert = _partition_table(n)
     types = _types_of_remaining(opening, insert, (1 << n) - 1, {0: {0: 1}})
-    return MappingProxyType({parts[i]: c for i, c in types.items()})
+    return MappingProxyType(
+        {parts[i]: c * multiplicity_factorials(parts[i]) for i, c in types.items()}
+    )
 
 
 def _types_of_remaining(opening, insert, remaining: int, memo: dict) -> dict:
@@ -395,13 +414,13 @@ def count_semi_ordered_stable_partitions(graph, mu) -> int:
     """Count partitions of the vertex set into stable parts of sizes ``mu``,
     where parts of equal size additionally carry an order.
 
-    This is the unordered count of ``stable_partition_types`` times the
-    factorials of the size multiplicities.
+    This is the entry at ``mu`` of ``semi_ordered_partition_types``: the
+    unordered count times the factorials of the size multiplicities.
     """
     mu = check_partition(mu)
     if sum(mu) != graph.n:
         raise ValueError("partition size must equal the vertex count")
-    return stable_partition_types(graph).get(mu, 0) * multiplicity_factorials(mu)
+    return semi_ordered_partition_types(graph).get(mu, 0)
 
 
 def multiplicity_factorials(mu) -> int:

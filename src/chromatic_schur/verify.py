@@ -7,7 +7,11 @@ reproduced from the report alone.
 
 Instance evaluation functions are pure and take plain tuples, so suites can
 fan out over a process pool; results are merged back in the canonical
-instance order regardless of worker count.
+instance order regardless of worker count.  The pool takes the instances in
+contiguous chunks, about four per worker.  Instances come in the order of
+their parameters, so neighbouring instances ask about the same or similar
+graphs and shapes, and a worker that holds a run of them finds its
+per-graph counts and content tables already cached.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ from .tabloids import head_class_sums, pendant_tail_counts
 COEFFICIENT_COST_MS = {9: 1_000, 10: 3_000, 11: 10_000, 12: 30_000, 13: 120_000}
 ENUMERATION_COST_MS = {11: 1_000, 12: 2_000, 13: 5_000, 14: 10_000, 15: 30_000, 16: 80_000}
 DEFAULT_BUDGET_MS = 30_000
+
+# how many contiguous chunks of instances each pool worker takes, about
+CHUNKS_PER_WORKER = 4
 
 
 def nominal_cost_ms(n_vertices: int, kind: str = "coefficient") -> int:
@@ -107,8 +114,11 @@ def _map_instances(fn, params: list, jobs: int) -> list:
     # more than there are instances or cores
     workers = min(jobs, len(params), os.cpu_count() or 1)
     if workers > 1:
+        # one round trip per chunk rather than per instance; four chunks per
+        # worker still let a worker that finishes early take more
+        chunksize = -(-len(params) // (CHUNKS_PER_WORKER * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, params))
+            return list(pool.map(fn, params, chunksize=chunksize))
     return [fn(p) for p in params]
 
 
@@ -121,10 +131,11 @@ def _net_recurrence_instance(args) -> dict:
     lhs = xi(lam, generalized_net(n, m, PENDANT_FIRST))
     s1 = strip_trailing_ones(lam, 1)
     s2 = strip_trailing_ones(lam, 2)
+    one_less = generalized_net(n - 1, m - 1, PENDANT_FIRST)
     terms = {
-        "anchor_bottom": m * xi(s1, with_disjoint_path(generalized_net(n - 1, m - 1, PENDANT_FIRST), 1)),
+        "anchor_bottom": m * xi(s1, with_disjoint_path(one_less, 1)),
         "buoy_bottom": (n - m) * xi(s1, generalized_net(n - 1, m, PENDANT_FIRST)),
-        "pendant_anchor_pair": m * xi(s2, generalized_net(n - 1, m - 1, PENDANT_FIRST)),
+        "pendant_anchor_pair": m * xi(s2, one_less),
     }
     rhs = sum(terms.values())
     return {
@@ -171,13 +182,15 @@ def _spider_recurrence_instance(args) -> dict:
     # its anchor; removing both isolates the leg's far end) is required for
     # the identity to balance: without it the right side falls short by
     # exactly this value on most shapes.
+    one_less = generalized_spider(n - 1, legs_one_less)
+    short = generalized_spider(n - 1, short_legs)
     terms = {
-        "anchor_bottom": (m - 1) * xi(s1, with_disjoint_path(generalized_spider(n - 1, legs_one_less), 1)),
+        "anchor_bottom": (m - 1) * xi(s1, with_disjoint_path(one_less, 1)),
         "buoy_bottom": (n - m) * xi(s1, generalized_spider(n - 1, legs)),
-        "special_anchor_bottom": xi(s1, with_disjoint_path(generalized_spider(n - 1, short_legs), 2)),
-        "pendant_anchor_pair": (m - 1) * xi(s2, generalized_spider(n - 1, legs_one_less)),
-        "inner_pendant_anchor_pair": xi(s2, with_disjoint_path(generalized_spider(n - 1, short_legs), 1)),
-        "special_path_triple": xi(s3, generalized_spider(n - 1, short_legs)),
+        "special_anchor_bottom": xi(s1, with_disjoint_path(short, 2)),
+        "pendant_anchor_pair": (m - 1) * xi(s2, one_less),
+        "inner_pendant_anchor_pair": xi(s2, with_disjoint_path(short, 1)),
+        "special_path_triple": xi(s3, short),
     }
     rhs = sum(terms.values())
     return {

@@ -152,8 +152,9 @@ def test_tabloid_count_matches_object_enumerator():
 
 
 def test_per_graph_caches_stay_bounded():
-    """More distinct graphs than the bound leave at most the bound of type
-    vectors cached, and an evicted graph still gets its coefficients."""
+    """More distinct graphs than the bound leave at most the bound of
+    per-graph counts cached, and an evicted graph still gets its
+    coefficients."""
     import itertools
 
     from chromatic_schur import graphs as graphs_module

@@ -5,6 +5,7 @@ import pytest
 
 from chromatic_schur.graphs import BODY_ROLES, PENDANT_ROLES, generalized_net
 from chromatic_schur.verify import (
+    CHUNKS_PER_WORKER,
     VerificationReport,
     run_cancellation_check,
     run_f_table_suite,
@@ -180,11 +181,53 @@ def test_report_contract():
     json.dumps(payload)  # must be serializable
 
 
-def test_parallel_jobs_identical():
-    sequential = run_net_recurrence_suite(3, jobs=1)
-    parallel = run_net_recurrence_suite(3, jobs=4)
-    assert sequential.instances == parallel.instances
-    assert sequential.failures == parallel.failures
+def test_parallel_jobs_identical(monkeypatch):
+    # two workers even on a one-core host; each suite maps at least
+    # 2 * CHUNKS_PER_WORKER instances, so the pool hands out more chunks
+    # than it has workers
+    monkeypatch.setattr("chromatic_schur.verify.os.cpu_count", lambda: 2)
+    for run, size in (
+        (run_net_recurrence_suite, 3),
+        (run_spider_recurrence_suite, 4),
+        (run_f_table_suite, 5),
+        (run_structure_suite, 4),
+        (run_open_coefficient_report, 5),
+    ):
+        sequential = run(size, jobs=1)
+        parallel = run(size, jobs=2)
+        assert len(sequential.instances) >= 2 * CHUNKS_PER_WORKER, run.__name__
+        assert parallel.instances == sequential.instances, run.__name__
+        assert parallel.failures == sequential.failures, run.__name__
+
+
+def test_recurrence_sweep_builds_no_monomial_vector(monkeypatch):
+    """A sweep that asks one coefficient at a time reads the cached counts:
+    it builds no CoefficientVector and runs the type DP once per graph."""
+    from chromatic_schur import graphs
+    from chromatic_schur.coeffvec import CoefficientVector
+
+    built = 0
+    post_init = CoefficientVector.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    keys = []
+    cached = graphs._types_for
+
+    def recorded(key):
+        keys.append(key)
+        return cached(key)
+
+    monkeypatch.setattr(CoefficientVector, "__post_init__", counted)
+    monkeypatch.setattr(graphs, "_types_for", recorded)
+    cached.cache_clear()
+    report = run_net_recurrence_suite(4, jobs=1)
+    assert report.passed and len(report.instances) == 59
+    assert built == 0
+    assert len(set(keys)) == cached.cache_info().misses == 21
 
 
 def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
@@ -194,6 +237,7 @@ def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
         # records the pool size and maps in-process, so no worker starts
         def __init__(self, max_workers):
             requested.append(max_workers)
+            self.workers = max_workers
 
         def __enter__(self):
             return self
@@ -201,8 +245,15 @@ def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, params):
-            return map(fn, params)
+        def map(self, fn, params, chunksize=1):
+            params = list(params)
+            chunks = [params[i : i + chunksize] for i in range(0, len(params), chunksize)]
+            # about four contiguous chunks per worker, and never one per instance
+            # once there are more than four per worker
+            assert min(len(params), 2 * self.workers) <= len(chunks) <= CHUNKS_PER_WORKER * self.workers
+            # results come chunk by chunk, so the callers' equality checks
+            # below see whether the chunks cover every instance in order
+            return (fn(p) for chunk in chunks for p in chunk)
 
     monkeypatch.setattr("chromatic_schur.verify.ProcessPoolExecutor", InProcessPool)
     sequential = run_net_recurrence_suite(2, jobs=1)
@@ -217,6 +268,11 @@ def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
     assert requested == [2]
     assert pooled.instances == run_open_coefficient_report(4, jobs=1, budget_ms=600).instances
     assert [i["status"] for i in pooled.instances] == ["report"] * 3 + ["skip", "skip", "report"]
+    # 59 instances over two workers go out as eight chunks of up to eight
+    requested.clear()
+    chunked = run_net_recurrence_suite(4, jobs=2)
+    assert requested == [2]
+    assert chunked.instances == run_net_recurrence_suite(4, jobs=1).instances
 
 
 def test_suite_argument_validation():
