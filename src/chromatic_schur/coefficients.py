@@ -33,7 +33,7 @@ from .graphs import (
 )
 from .partitions import UNDEFINED, check_partition, partitions_of
 from .tableaux import monomial_to_schur
-from .tabloids import signed_content_table, signed_g_tabloid_counts
+from .tabloids import _content_table, signed_g_tabloid_counts
 
 TABLOID = "tabloid"
 GROUPED = "grouped"
@@ -67,8 +67,9 @@ def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:
 
 
 def _grouped(lam, mono) -> int:
-    # mono: the cached monomial coefficients, zero entries absent
-    return sum(c * mono.get(mu, 0) for mu, c in signed_content_table(lam).items())
+    # lam: an already checked partition; mono: the cached monomial
+    # coefficients, zero entries absent
+    return sum(c * mono.get(mu, 0) for mu, c in _content_table(lam).items())
 
 
 def schur_expansion(graph: LabeledGraph, method: str = GROUPED) -> CoefficientVector:
@@ -94,7 +95,7 @@ def xi(lam, graph) -> int:
     lam = check_partition(lam)
     if sum(lam) != graph.n:
         return 0
-    return schur_coefficient(graph, lam)
+    return _grouped(lam, semi_ordered_partition_types(graph))
 
 
 def f_coefficient(c: int, d: int) -> int:

@@ -253,15 +253,10 @@ def with_disjoint_path(graph, k: int):
 
 
 def is_claw_free(graph) -> bool:
-    """True iff no four vertices induce a star K_{1,3} (brute force)."""
-    for quad in itertools.combinations(graph.vertices, 4):
-        for center in quad:
-            leaves = [v for v in quad if v != center]
-            if all(graph.adjacent(center, u) for u in leaves) and not any(
-                graph.adjacent(u, w) for u, w in itertools.combinations(leaves, 2)
-            ):
-                return False
-    return True
+    """True iff no four vertices induce a star K_{1,3}: no vertex has a
+    stable 3-set among its neighbours."""
+    adj = adjacency_masks(graph)
+    return not any(next(stable_masks(adj, adj[v], 3), 0) for v in graph.vertices)
 
 
 def vertex_mask(vertices) -> int:
@@ -429,35 +424,84 @@ def multiplicity_factorials(mu) -> int:
     return prod(factorial(r) for r in Counter(mu).values())
 
 
+def least_edge_mask(adj) -> int:
+    """The least edge bitmask of a graph over all relabelings of its
+    vertices, the graph given by the neighbour masks ``adj`` of
+    ``adjacency_masks``.
+
+    Bit i of an edge bitmask stands for the i-th pair (u, v), u < v, of the
+    labels in lexicographic order, so the pairs (k, k+1..n) of label k form
+    one block of bits, and label k's block lies above label k - 1's.  The
+    search places labels n, n-1, ..., 1 in turn.  Placing label k fixes its
+    block, which is the adjacency of the vertex placed there to the vertices
+    already placed: (k, n) is its highest bit, (k, k+1) its lowest.  Only
+    the unplaced vertices with the least such block can lead to the least
+    mask, so only they are branched on, and a branch stops as soon as its
+    fixed high bits exceed those of the best mask found.  Of two tied
+    candidates whose neighbourhoods in the unplaced set agree once the pair
+    itself is left out, only the first is tried: swapping such twins fixes
+    every placed vertex and maps the graph to itself, so both subtrees
+    reach the same masks.
+    """
+    n = len(adj) - 1
+    if n <= 1:
+        return 0
+    # offset[k]: the lowest bit of label k's block
+    offset = [0, 0]
+    for k in range(1, n):
+        offset.append(offset[k] + n - k)
+    best = None
+
+    def place(k, unplaced, blocks, high):
+        # blocks: each unplaced vertex's block if it took label k
+        nonlocal best
+        least = min(blocks.values())
+        high |= least << offset[k]
+        if best is not None and high >> offset[k] > best >> offset[k]:
+            return
+        if k == 1:
+            best = high
+            return
+        tried = []
+        for v, block in blocks.items():
+            if block != least:
+                continue
+            bit = 1 << (v - 1)
+            near = adj[v] & unplaced
+            if any(near & ~t_bit == t_near & ~bit for t_bit, t_near in tried):
+                continue
+            tried.append((bit, near))
+            below = {w: b << 1 | adj[w] >> (v - 1) & 1 for w, b in blocks.items() if w != v}
+            place(k - 1, unplaced ^ bit, below, high)
+
+    place(n, (1 << n) - 1, dict.fromkeys(range(1, n + 1), 0), 0)
+    return best
+
+
 def connected_graphs(n: int) -> list[LabeledGraph]:
     """One representative per isomorphism class of connected graphs on n vertices.
 
-    Canonical form: the minimum, over all label permutations, of the edge-set
-    bitmask; permutations act through precomputed pair-index remaps.  Each
-    class is returned as the graph of its canonical mask, in increasing mask
-    order.  Removing a leaf of a spanning tree leaves a graph connected, so
-    every class has a member made of an (n - 1)-vertex representative with
-    vertex n joined to a nonempty subset of its vertices; only those
-    candidates are canonicalized.
+    Canonical form: the least edge bitmask over all relabelings.  The
+    branch-and-bound search of ``least_edge_mask`` finds it without trying
+    all n! relabelings: it places the labels from n down, branches only on
+    the vertices whose adjacency to the placed ones is least, tries one of
+    each pair of twins, and drops a branch whose high bits already exceed
+    the best mask.  Each class is returned as the graph of its canonical
+    mask, in increasing mask order.
+    Removing a leaf of a spanning tree leaves a graph connected, so every
+    class has a member made of an (n - 1)-vertex representative with vertex
+    n joined to a nonempty subset of its vertices; only those candidates
+    are canonicalized.
     """
     if n <= 1:
         return [LabeledGraph(n)]
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
-    remaps = []
-    for p in itertools.permutations(range(1, n + 1)):
-        remaps.append(
-            tuple(
-                pair_index[(p[u - 1], p[v - 1]) if p[u - 1] < p[v - 1] else (p[v - 1], p[u - 1])]
-                for u, v in pairs
-            )
-        )
     canons = set()
     for rep in connected_graphs(n - 1):
-        rep_bits = [pair_index[e] for e in rep.edges]
+        rep_adj = adjacency_masks(rep)
         for joined in range(1, 1 << (n - 1)):
-            set_bits = rep_bits + [pair_index[(v, n)] for v in mask_labels(joined)]
-            canons.add(min(sum(1 << remap[i] for i in set_bits) for remap in remaps))
+            adj = [a | (joined >> (v - 1) & 1) << (n - 1) for v, a in enumerate(rep_adj[1:], 1)]
+            canons.add(least_edge_mask([0, *adj, joined]))
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
     return [
         LabeledGraph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
         for bits in sorted(canons)

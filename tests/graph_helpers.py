@@ -1,10 +1,11 @@
 """Graph helpers that only the tests use: seeded random graphs and
-relabelings, brute-force connectivity and isomorphism, the role invariants,
-and the brute-force connected-graph census the package's census is checked
-against."""
+relabelings, brute-force connectivity, isomorphism and claw detection, the
+role invariants, and the brute-force least edge mask and connected-graph
+census the package's census is checked against."""
 
 import itertools
 import random
+from functools import lru_cache
 
 from chromatic_schur.graphs import (
     ANCHOR,
@@ -47,24 +48,50 @@ def are_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
     return False
 
 
+def is_claw_free_by_quadruples(graph) -> bool:
+    """True iff no four vertices induce a star K_{1,3}, by checking every
+    4-set and every centre in it."""
+    for quad in itertools.combinations(graph.vertices, 4):
+        for center in quad:
+            leaves = [v for v in quad if v != center]
+            if all(graph.adjacent(center, u) for u in leaves) and not any(
+                graph.adjacent(u, w) for u, w in itertools.combinations(leaves, 2)
+            ):
+                return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _pair_remaps(n: int):
+    # the pair index of every pair (u, v), u < v, in lexicographic order, and
+    # for every label permutation where it sends each pair index
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    pair_index = {pair: i for i, pair in enumerate(pairs)}
+    remaps = tuple(
+        tuple(pair_index[min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])] for u, v in pairs)
+        for p in itertools.permutations(range(1, n + 1))
+    )
+    return pair_index, remaps
+
+
+def least_edge_mask_by_relabeling(graph) -> int:
+    """The least edge bitmask of ``graph`` over all n! label permutations,
+    bit i standing for the i-th pair of labels in lexicographic order."""
+    pair_index, remaps = _pair_remaps(graph.n)
+    set_bits = [pair_index[e] for e in graph.edges]
+    return min(sum(1 << remap[i] for i in set_bits) for remap in remaps)
+
+
 def brute_force_connected_graphs(n: int) -> list[LabeledGraph]:
     """The census by sweeping every labelled graph on n vertices: keep the
     first connected member of each class in edge-bitmask order, the class
     being its least edge bitmask over all label permutations."""
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    pair_index = {pair: i for i, pair in enumerate(pairs)}
-    remaps = [
-        [pair_index[min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])] for u, v in pairs]
-        for p in itertools.permutations(range(1, n + 1))
-    ]
     reps: dict[int, LabeledGraph] = {}
     for bits in range(1 << len(pairs)):
         graph = LabeledGraph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
-        if not is_connected(graph):
-            continue
-        set_bits = [i for i in range(len(pairs)) if bits >> i & 1]
-        canon = min(sum(1 << remap[i] for i in set_bits) for remap in remaps)
-        reps.setdefault(canon, graph)
+        if is_connected(graph):
+            reps.setdefault(least_edge_mask_by_relabeling(graph), graph)
     return [reps[c] for c in sorted(reps)]
 
 

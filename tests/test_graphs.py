@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -22,6 +24,7 @@ from chromatic_schur.graphs import (
     generalized_net,
     generalized_spider,
     is_claw_free,
+    least_edge_mask,
     mask_labels,
     _partition_table,
     path_graph,
@@ -35,7 +38,9 @@ from chromatic_schur.partitions import UNDEFINED, partitions_of
 from graph_helpers import (
     are_isomorphic,
     brute_force_connected_graphs,
+    is_claw_free_by_quadruples,
     is_connected,
+    least_edge_mask_by_relabeling,
     random_graph,
     random_relabeling,
     validate_roles,
@@ -147,6 +152,76 @@ def test_families_claw_free_sweep():
             for legs in partitions_of(legs_n):
                 if len(legs) <= n:
                     assert is_claw_free(generalized_spider(n, legs))
+
+
+def test_claw_free_matches_quadruple_check():
+    graphs = [g for n in range(1, 7) for g in connected_graphs(n)]
+    rng = random.Random(41)
+    graphs += [random_graph(n, rng, p) for n in range(9) for p in (0.3, 0.5, 0.7) for _ in range(4)]
+    graphs += [generalized_net(n, m) for n in range(1, 7) for m in range(n + 1)]
+    graphs += [
+        generalized_spider(n, legs)
+        for n in range(3, 7)
+        for size in range(5)
+        for legs in partitions_of(size)
+        if len(legs) <= n
+    ]
+    graphs += [star_graph(3), star_graph(5), complete_graph(5)]
+    verdicts = [is_claw_free(g) for g in graphs]
+    assert verdicts == [is_claw_free_by_quadruples(g) for g in graphs]
+    assert True in verdicts and False in verdicts
+
+
+def test_connected_claw_free_counts():
+    # OEIS A022562: connected claw-free graphs on n vertices
+    counts = [sum(map(is_claw_free, connected_graphs(n))) for n in range(1, 7)]
+    assert counts == [1, 1, 2, 5, 14, 50]
+
+
+def _cycle(n):
+    return LabeledGraph(n, [(v, v % n + 1) for v in range(1, n + 1)])
+
+
+def _complement(graph):
+    pairs = itertools.combinations(graph.vertices, 2)
+    return LabeledGraph(graph.n, [(u, v) for u, v in pairs if not graph.adjacent(u, v)])
+
+
+def _complete_multipartite(*sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    pairs = itertools.combinations(range(len(part)), 2)
+    return LabeledGraph(len(part), [(u + 1, v + 1) for u, v in pairs if part[u] != part[v]])
+
+
+def test_least_edge_mask_matches_every_relabeling():
+    # graphs with many tied candidates and twins
+    graphs = [complete_graph(n) for n in range(8)]
+    graphs += [_cycle(n) for n in range(3, 8)]
+    graphs += [star_graph(m) for m in range(1, 7)]
+    graphs += [_complete_multipartite(3, 3), _complete_multipartite(2, 2, 2)]
+    graphs += [_complete_multipartite(1, 2, 3), _complement(_cycle(6)), _complement(_cycle(7))]
+    graphs += [generalized_net(4, 2), generalized_spider(3, (2, 1)), path_graph(7)]
+    # seeded random graphs, disconnected ones among them
+    rng = random.Random(13)
+    graphs += [random_graph(n, rng, p) for n in range(2, 8) for p in (0.2, 0.5, 0.8) for _ in range(2)]
+    assert any(not is_connected(g) for g in graphs)
+    for graph in graphs:
+        expected = least_edge_mask_by_relabeling(graph)
+        assert least_edge_mask(adjacency_masks(graph)) == expected, graph
+        shuffled = random_relabeling(graph, rng)
+        assert least_edge_mask(adjacency_masks(shuffled)) == expected, shuffled
+
+
+@pytest.mark.slow
+def test_connected_graph_census_on_seven_vertices():
+    # OEIS A001349; the digest pins the list and its order as the search over
+    # every relabeling gave them
+    graphs = connected_graphs(7)
+    assert len(graphs) == 853
+    digest = hashlib.sha256(json.dumps([sorted(g.edges) for g in graphs]).encode()).hexdigest()
+    assert digest == "cf72f473a777d59c28dd653906ba815d68e0ce4844b47e000553c8ce60eb52e6"
+    # OEIS A022562
+    assert sum(map(is_claw_free, graphs)) == 191
 
 
 def test_stable_partition_counts():
@@ -270,11 +345,7 @@ def test_connected_graph_census():
         index = {pair: i for i, pair in enumerate(itertools.combinations(range(1, n + 1), 2))}
         masks = [sum(1 << index[e] for e in g.edges) for g in graphs]
         assert masks == sorted(set(masks))
-        for g, mask in zip(graphs, masks):
-            assert mask == min(
-                sum(1 << index[min(p[u - 1], p[v - 1]), max(p[u - 1], p[v - 1])] for u, v in g.edges)
-                for p in itertools.permutations(range(1, n + 1))
-            )
+        assert masks == [least_edge_mask_by_relabeling(g) for g in graphs]
     # the sweep over every labelled graph that the census replaces
     for n in range(6):
         assert [(g.n, g.edges) for g in connected_graphs(n)] == [

@@ -4,6 +4,7 @@ import os
 import pytest
 
 from chromatic_schur.graphs import BODY_ROLES, PENDANT_ROLES, generalized_net
+from chromatic_schur.partitions import UNDEFINED
 from chromatic_schur.verify import (
     CHUNKS_PER_WORKER,
     VerificationReport,
@@ -228,6 +229,37 @@ def test_recurrence_sweep_builds_no_monomial_vector(monkeypatch):
     assert report.passed and len(report.instances) == 59
     assert built == 0
     assert len(set(keys)) == cached.cache_info().misses == 21
+
+
+def test_recurrence_sweep_checks_each_partition_once(monkeypatch):
+    """A grouped coefficient reached through xi checks its partition once:
+    xi checks it, and neither the coefficient nor the content table
+    checks it again."""
+    from chromatic_schur import coefficients, tabloids, verify
+
+    checks = 0
+    defined_calls = 0
+    check = coefficients.check_partition
+    xi = verify.xi
+
+    def counted_check(parts):
+        nonlocal checks
+        checks += 1
+        return check(parts)
+
+    def counted_xi(lam, graph):
+        nonlocal defined_calls
+        if lam is not UNDEFINED and graph is not UNDEFINED:
+            defined_calls += 1
+        return xi(lam, graph)
+
+    monkeypatch.setattr(coefficients, "check_partition", counted_check)
+    monkeypatch.setattr(tabloids, "check_partition", counted_check)
+    monkeypatch.setattr(verify, "xi", counted_xi)
+    report = run_net_recurrence_suite(4, jobs=1)
+    assert report.passed and len(report.instances) == 59
+    assert defined_calls > 59
+    assert checks == defined_calls
 
 
 def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
