@@ -5,13 +5,15 @@ graphs and shapes, recording per-instance evidence.  A failure payload keeps
 both sides of the identity and every sub-term, so a failing instance can be
 reproduced from the report alone.
 
-Instance evaluation functions are pure and take plain tuples, so suites can
-fan out over a process pool; results are merged back in the canonical
-instance order regardless of worker count.  The pool takes the instances in
-contiguous chunks, about four per worker.  Instances come in the order of
-their parameters, so neighbouring instances ask about the same or similar
-graphs and shapes, and a worker that holds a run of them finds its
-per-graph counts and content tables already cached.
+Instance evaluation functions are pure and take plain tuples or dicts, so
+suites can fan out over a process pool; results are merged back in the
+canonical instance order regardless of worker count.  The pool takes the
+instances in contiguous chunks, about four per worker.  Instances come in
+the order of their parameters, so neighbouring instances ask about the same
+or similar graphs and shapes, and a worker that holds a run of them finds
+its per-graph counts and content tables already cached.  A report's
+verdicts are read from its instance records, and a suite with a cost budget
+keeps a skip record in place of each instance priced above it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import factorial
 
 from .coefficients import f_coefficient, is_schur_positive, schur_expansion, xi
@@ -37,21 +39,15 @@ from .partitions import partitions_of, strip_trailing_ones
 from .tabloids import head_class_sums, pendant_tail_counts
 
 # Nominal per-instance cost classes, keyed by vertex count, used to gate
-# expensive optional instances behind --budget-ms.  Deliberately a fixed
-# table rather than measured time, so identical invocations always run the
-# identical instance set.  The coefficient prices are two to three times the
-# cost of the memoized tabloid route, whose peels read a per-graph table of
-# stable sets.  Its peels no longer prune states that no filling completes,
-# which costs about 20% more on dense nets.  The grouped route, which the
-# suites use, is one to two orders of magnitude cheaper still.  The prices
-# are kept so the same instances run: lower prices would admit more
-# instances and so change the reports.  The
-# enumeration prices are those of the head-group check's dynamic programme
-# on GN(n/2, n/2) at (2,2,1^(n-4)), about twice the 0.1 s measured at 10
-# vertices, 0.6-0.7 s at 12, 4.2-4.6 s at 14 and 36-38 s at 16 on a 2-core
-# host.  The stable-set table has since made that programme about 1.6 times
-# faster; the prices are kept for the same reason.  Heads with more rows
-# cost more, since every head class becomes one reported instance.
+# expensive optional instances behind --budget-ms.  The table is fixed rather
+# than measured, so identical invocations run identical instance sets, and a
+# changed price changes which instances run.  The coefficient prices were set
+# at two to three times the cost of the memoized tabloid route.  The
+# enumeration prices were set at about twice the cost of the head-group
+# check's dynamic programme on GN(n/2, n/2) at (2,2,1^(n-4)) on a 2-core host:
+# 0.1 s at 10 vertices, 0.6-0.7 s at 12, 4.2-4.6 s at 14 and 36-38 s at 16.
+# Heads with more rows cost more, since every head class becomes one
+# reported instance.
 COEFFICIENT_COST_MS = {9: 1_000, 10: 3_000, 11: 10_000, 12: 30_000, 13: 120_000}
 ENUMERATION_COST_MS = {11: 1_000, 12: 2_000, 13: 5_000, 14: 10_000, 15: 30_000, 16: 80_000}
 DEFAULT_BUDGET_MS = 30_000
@@ -72,17 +68,28 @@ def nominal_cost_ms(n_vertices: int, kind: str = "coefficient") -> int:
 
 @dataclass
 class VerificationReport:
-    """Structured outcome of one suite: instances plus the failing subset."""
+    """Structured outcome of one suite; its verdicts are read from the
+    instance records."""
 
     statement_id: str
-    instances_checked: int
-    failures: list
+    instances: list
     wall_time_ms: int
-    instances: list = field(default_factory=list)
+
+    @property
+    def instances_checked(self) -> int:
+        return sum(1 for inst in self.instances if inst["status"] != "skip")
+
+    @property
+    def failures(self) -> list:
+        return [
+            {"parameters": inst["params"], "lhs": inst.get("lhs"), "rhs": inst.get("rhs")}
+            for inst in self.instances
+            if inst["status"] == "fail"
+        ]
 
     @property
     def passed(self) -> bool:
-        return not self.failures
+        return all(inst["status"] != "fail" for inst in self.instances)
 
     def to_json_dict(self, timing: bool = False) -> dict:
         return {
@@ -95,18 +102,12 @@ class VerificationReport:
 
 
 def _finish(statement_id: str, instances: list, started: float) -> VerificationReport:
-    failures = [
-        {"parameters": inst["params"], "lhs": inst.get("lhs"), "rhs": inst.get("rhs")}
-        for inst in instances
-        if inst["status"] == "fail"
-    ]
-    return VerificationReport(
-        statement_id=statement_id,
-        instances_checked=sum(1 for inst in instances if inst["status"] != "skip"),
-        failures=failures,
-        wall_time_ms=int((time.monotonic() - started) * 1000),
-        instances=instances,
-    )
+    return VerificationReport(statement_id, instances, int((time.monotonic() - started) * 1000))
+
+
+def _verdict(params: dict, lhs, rhs, **detail) -> dict:
+    """The record of one equality check: it passes when both sides agree."""
+    return {"params": params, "lhs": lhs, "rhs": rhs, **detail, "status": "pass" if lhs == rhs else "fail"}
 
 
 def _map_instances(fn, params: list, jobs: int) -> list:
@@ -120,6 +121,22 @@ def _map_instances(fn, params: list, jobs: int) -> list:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, params, chunksize=chunksize))
     return [fn(p) for p in params]
+
+
+def _map_within_budget(fn, priced: list, jobs: int, budget_ms: int) -> list:
+    """Map ``fn`` over the args of each ``(nominal cost, report params, args)``
+    triple priced within the budget; a budget skip record stands in place of
+    each instance priced above it."""
+    results = iter(_map_instances(fn, [args for cost, _, args in priced if cost <= budget_ms], jobs))
+    return [
+        next(results) if cost <= budget_ms else {"params": params, "status": "skip", "reason": "budget"}
+        for cost, params, _ in priced
+    ]
+
+
+def _run(statement_id: str, fn, params: list, jobs: int) -> VerificationReport:
+    started = time.monotonic()
+    return _finish(statement_id, _map_instances(fn, params, jobs), started)
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +154,7 @@ def _net_recurrence_instance(args) -> dict:
         "buoy_bottom": (n - m) * xi(s1, generalized_net(n - 1, m, PENDANT_FIRST)),
         "pendant_anchor_pair": m * xi(s2, one_less),
     }
-    rhs = sum(terms.values())
-    return {
-        "params": {"n": n, "m": m, "lambda": list(lam)},
-        "lhs": lhs,
-        "rhs": rhs,
-        "terms": terms,
-        "status": "pass" if lhs == rhs else "fail",
-    }
+    return _verdict({"n": n, "m": m, "lambda": list(lam)}, lhs, sum(terms.values()), terms=terms)
 
 
 def run_net_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport:
@@ -159,9 +169,7 @@ def run_net_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport:
         for lam in partitions_of(n + m)
         if lam[-1] == 1
     ]
-    started = time.monotonic()
-    instances = _map_instances(_net_recurrence_instance, params, jobs)
-    return _finish("net-recurrence", instances, started)
+    return _run("net-recurrence", _net_recurrence_instance, params, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +200,7 @@ def _spider_recurrence_instance(args) -> dict:
         "inner_pendant_anchor_pair": xi(s2, with_disjoint_path(short, 1)),
         "special_path_triple": xi(s3, short),
     }
-    rhs = sum(terms.values())
-    return {
-        "params": {"n": n, "m": m, "lambda": list(lam)},
-        "lhs": lhs,
-        "rhs": rhs,
-        "terms": terms,
-        "status": "pass" if lhs == rhs else "fail",
-    }
+    return _verdict({"n": n, "m": m, "lambda": list(lam)}, lhs, sum(terms.values()), terms=terms)
 
 
 def run_spider_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport:
@@ -214,42 +215,28 @@ def run_spider_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport
         for lam in partitions_of(n + m + 1)
         if len(lam) >= 2 and lam[-1] == 1 and lam[-2] == 1
     ]
-    started = time.monotonic()
-    instances = _map_instances(_spider_recurrence_instance, params, jobs)
-    return _finish("spider-recurrence", instances, started)
+    return _run("spider-recurrence", _spider_recurrence_instance, params, jobs)
 
 
 # ---------------------------------------------------------------------------
 # structure: tailless support and all-pendant tails
 
 
-def _tailless_support_instance(args) -> dict:
-    n, m, lam = args
-    coeff = xi(lam, generalized_net(n, m, PENDANT_LAST))
-    allowed = n == m and lam == (2,) * n
-    ok = coeff == 0 or allowed
-    return {
-        "params": {"kind": "tailless-support", "n": n, "m": m, "lambda": list(lam)},
-        "lhs": coeff,
-        "rhs": 0 if not allowed else coeff,
-        "status": "pass" if ok else "fail",
-    }
-
-
-def _pendant_tail_instance(args) -> dict:
+def _structure_instance(args) -> dict:
     kind, n, m, labeling, lam = args
-    if kind == "net":
-        graph = generalized_net(n, m, labeling)
-    else:
+    if kind == "spider":
         graph = generalized_spider(n, (2,) + (1,) * (m - 1))
+    else:
+        graph = generalized_net(n, m, labeling)
+    if kind == "support":
+        # the coefficient must vanish unless this is the permitted rectangle
+        coeff = xi(lam, graph)
+        allowed = n == m and lam == (2,) * n
+        params = {"kind": "tailless-support", "n": n, "m": m, "lambda": list(lam)}
+        return _verdict(params, coeff, coeff if allowed else 0)
     total, offending = pendant_tail_counts(lam, graph, graph.labels_with_role(*PENDANT_ROLES))
-    return {
-        "params": {"kind": f"{kind}-pendant-tail", "n": n, "m": m, "labeling": labeling, "lambda": list(lam)},
-        "lhs": offending,
-        "rhs": 0,
-        "tabloids": total,
-        "status": "pass" if offending == 0 else "fail",
-    }
+    params = {"kind": f"{kind}-pendant-tail", "n": n, "m": m, "labeling": labeling, "lambda": list(lam)}
+    return _verdict(params, offending, 0, tabloids=total)
 
 
 def run_structure_suite(bound: int, jobs: int = 1) -> VerificationReport:
@@ -264,7 +251,7 @@ def run_structure_suite(bound: int, jobs: int = 1) -> VerificationReport:
     if bound < 2:
         raise ValueError("bound must be at least 2")
     support_params = [
-        (n, m, lam)
+        ("support", n, m, PENDANT_LAST, lam)
         for n in range(1, bound + 1)
         for m in range(0, n + 1)
         if n + m <= bound
@@ -289,10 +276,7 @@ def run_structure_suite(bound: int, jobs: int = 1) -> VerificationReport:
         for lam in partitions_of(n + m + 1)
         if len(lam) >= 2 and lam[-1] == 1 and lam[-2] == 1
     ]
-    started = time.monotonic()
-    instances = _map_instances(_tailless_support_instance, support_params, jobs)
-    instances += _map_instances(_pendant_tail_instance, tail_params + spider_tail_params, jobs)
-    return _finish("net-structure", instances, started)
+    return _run("net-structure", _structure_instance, support_params + tail_params + spider_tail_params, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +288,7 @@ def _singleton_removal_instance(args) -> dict:
     lhs_graph = with_disjoint_path(generalized_net(c + d, c - 1, PENDANT_LAST), 1)
     lhs = xi((2,) * c + (1,) * d, lhs_graph)
     rhs = xi((2,) * (c - 1) + (1,) * (d + 1), generalized_net(c + d, c - 1, PENDANT_LAST))
-    return {
-        "params": {"C": c, "D": d},
-        "lhs": lhs,
-        "rhs": rhs,
-        "status": "pass" if lhs == rhs else "fail",
-    }
+    return _verdict({"C": c, "D": d}, lhs, rhs)
 
 
 def run_singleton_removal_suite(bound: int, jobs: int = 1) -> VerificationReport:
@@ -319,9 +298,7 @@ def run_singleton_removal_suite(bound: int, jobs: int = 1) -> VerificationReport
     if bound < 1:
         raise ValueError("bound must be at least 1")
     params = [(c, d) for c in range(1, bound + 1) for d in range(0, bound - c + 1)]
-    started = time.monotonic()
-    instances = _map_instances(_singleton_removal_instance, params, jobs)
-    return _finish("singleton-removal", instances, started)
+    return _run("singleton-removal", _singleton_removal_instance, params, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -372,20 +349,10 @@ def run_cancellation_check(
             "tail_pool_body": sorted(body_pool),
             "tail_pool_pendants": sorted(pendant_set - head.vertex_set()),
         }
+        inst = _verdict(params, lhs, 0, selected=selected, head_class_size=total)
         if not body_pool:
-            status = "skip"
-        else:
-            status = "pass" if lhs == 0 else "fail"
-        instances.append(
-            {
-                "params": params,
-                "lhs": lhs,
-                "rhs": 0,
-                "selected": selected,
-                "head_class_size": total,
-                "status": status,
-            }
-        )
+            inst["status"] = "skip"
+        instances.append(inst)
     return _finish("head-group-cancellation", instances, started)
 
 
@@ -393,62 +360,50 @@ def run_cancellation_check(
 # positivity sweep
 
 
-def _positivity_instance(args) -> dict:
-    kind = args[0]
-    if kind == "net":
-        _, n, m = args
-        graph = generalized_net(n, m, PENDANT_FIRST)
-        positive, witness = is_schur_positive(graph)
-        return {
-            "params": {"kind": "net", "n": n, "m": m},
-            "lhs": 0 if positive else schur_expansion(graph)[witness],
-            "rhs": 0,
-            "witness": list(witness) if witness else None,
-            "status": "pass" if positive else "fail",
-        }
+def _positivity_instance(params) -> dict:
+    kind = params["kind"]
     if kind == "claw-control":
         graph = star_graph(3)
         positive, witness = is_schur_positive(graph)
         value = schur_expansion(graph)[witness] if witness else 0
         ok = (not positive) and witness == (2, 2) and value == -1
         return {
-            "params": {"kind": "claw-control", "expected_witness": [2, 2], "expected_value": -1},
+            "params": params,
             "lhs": value,
             "rhs": -1,
             "witness": list(witness) if witness else None,
             "status": "pass" if ok else "fail",
         }
-    _, n, m = args
-    graph = generalized_spider(n, (2,) + (1,) * (m - 1))
-    expansion = schur_expansion(graph)
-    return {
-        "params": {"kind": "spider-report", "n": n, "m": m},
-        "lhs": expansion.min_entry(),
-        "rhs": 0,
-        "negative": expansion.min_entry() < 0,
-        "status": "report",
-    }
+    n, m = params["n"], params["m"]
+    if kind == "net":
+        graph = generalized_net(n, m, PENDANT_FIRST)
+        positive, witness = is_schur_positive(graph)
+        # a witness entry is negative, so only a positive net balances
+        lhs = 0 if positive else schur_expansion(graph)[witness]
+        return _verdict(params, lhs, 0, witness=list(witness) if witness else None)
+    expansion = schur_expansion(generalized_spider(n, (2,) + (1,) * (m - 1)))
+    least = expansion.min_entry()
+    return {"params": params, "lhs": least, "rhs": 0, "negative": least < 0, "status": "report"}
 
 
 def run_positivity_sweep(n_max: int, jobs: int = 1, budget_ms: int = DEFAULT_BUDGET_MS) -> VerificationReport:
     """Every net with up to n_max body vertices must expand nonnegatively.
 
     The claw is run as a negative control (it must report the witness (2,2)
-    with value -1).  One-long-leg spider expansions inside the budget are
-    computed and reported without assertion.
+    with value -1).  One-long-leg spider expansions are computed and
+    reported without assertion; those beyond the cost budget are skipped
+    with a budget marker.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    params: list = [("net", n, m) for n in range(1, n_max + 1) for m in range(0, n + 1)]
-    params.append(("claw-control",))
-    spider_params = [
-        ("spider", n, m)
-        for n in range(3, n_max + 1)
-        for m in range(1, n + 1)
-        if nominal_cost_ms(n + m + 1) <= budget_ms
-    ]
+    nets = [{"kind": "net", "n": n, "m": m} for n in range(1, n_max + 1) for m in range(0, n + 1)]
+    claw = {"kind": "claw-control", "expected_witness": [2, 2], "expected_value": -1}
+    spiders = [{"kind": "spider-report", "n": n, "m": m} for n in range(3, n_max + 1) for m in range(1, n + 1)]
+    # nets and the control are never gated; a spider has n + m + 1 vertices
+    priced = [(0, p, p) for p in nets + [claw]]
+    priced += [(nominal_cost_ms(p["n"] + p["m"] + 1), p, p) for p in spiders]
     started = time.monotonic()
-    instances = _map_instances(_positivity_instance, params + spider_params, jobs)
+    instances = _map_within_budget(_positivity_instance, priced, jobs, budget_ms)
     return _finish("net-positivity", instances, started)
 
 
@@ -474,41 +429,19 @@ def run_f_table_suite(bound: int, jobs: int = 1) -> VerificationReport:
     value_params = [(c, d) for total in range(bound + 1) for c in range(total, -1, -1) for d in (total - c,)]
     started = time.monotonic()
     instances = _map_instances(_f_value_instance, value_params, jobs)
-    values = {(inst["params"]["C"], inst["params"]["D"]): inst["value"] for inst in instances}
-    for c, d in value_params:
-        if c >= 1 and d >= 1:
-            lhs = values[c, d]
-            rhs = c * values[c - 1, d] + d * values[c, d - 1]
-            instances.append(
-                {
-                    "params": {"kind": "recurrence", "C": c, "D": d},
-                    "lhs": lhs,
-                    "rhs": rhs,
-                    "status": "pass" if lhs == rhs else "fail",
-                }
-            )
-    for n in range(1, bound + 1):
-        lhs = values[n, 0]
-        rhs = factorial(n) if n % 2 == 0 else 0
-        instances.append(
-            {
-                "params": {"kind": "even-axis", "C": n, "D": 0},
-                "lhs": lhs,
-                "rhs": rhs,
-                "status": "pass" if lhs == rhs else "fail",
-            }
-        )
-    for d in range(0, bound + 1):
-        lhs = values[0, d]
-        rhs = factorial(d)
-        instances.append(
-            {
-                "params": {"kind": "factorial-axis", "C": 0, "D": d},
-                "lhs": lhs,
-                "rhs": rhs,
-                "status": "pass" if lhs == rhs else "fail",
-            }
-        )
+    f = {(inst["params"]["C"], inst["params"]["D"]): inst["value"] for inst in instances}
+    instances += [
+        _verdict({"kind": "recurrence", "C": c, "D": d}, f[c, d], c * f[c - 1, d] + d * f[c, d - 1])
+        for c, d in value_params
+        if c >= 1 and d >= 1
+    ]
+    instances += [
+        _verdict({"kind": "even-axis", "C": n, "D": 0}, f[n, 0], factorial(n) if n % 2 == 0 else 0)
+        for n in range(1, bound + 1)
+    ]
+    instances += [
+        _verdict({"kind": "factorial-axis", "C": 0, "D": d}, f[0, d], factorial(d)) for d in range(bound + 1)
+    ]
     return _finish("f-table", instances, started)
 
 
@@ -540,24 +473,11 @@ def run_open_coefficient_report(
     beyond the cost budget are skipped with a budget marker."""
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
-    started = time.monotonic()
-    # one slot per instance in family order: a skip record, or None for an
-    # instance inside the budget, filled from the mapped results in order
-    slots, params = [], []
+    priced = []
     for n in range(3, n_max + 1):
         for family, lam, body, legs in _open_families(n):
-            graph = generalized_spider(body, legs)
-            info = {
-                "family": family,
-                "n": n,
-                "lambda": list(lam),
-                "graph": f"GS({body},{list(legs)})",
-            }
-            if nominal_cost_ms(graph.n) > budget_ms:
-                slots.append({"params": info, "status": "skip", "reason": "budget"})
-            else:
-                slots.append(None)
-                params.append((info, lam, body, legs))
-    results = iter(_map_instances(_open_coefficient_instance, params, jobs))
-    instances = [next(results) if slot is None else slot for slot in slots]
+            params = {"family": family, "n": n, "lambda": list(lam), "graph": f"GS({body},{list(legs)})"}
+            priced.append((nominal_cost_ms(body + sum(legs)), params, (params, lam, body, legs)))
+    started = time.monotonic()
+    instances = _map_within_budget(_open_coefficient_instance, priced, jobs, budget_ms)
     return _finish("open-spider-coefficients", instances, started)

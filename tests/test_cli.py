@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import time
@@ -112,6 +113,48 @@ def test_suites_exit_zero(capsys):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0, f"{argv} -> {out}"
 
+
+def test_positivity_budget_skips_in_text(capsys):
+    code, out, _ = run_cli(capsys, "--budget-ms", "100", "positivity")
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "net-positivity: PASS (15 instances, 7 skipped)"
+    assert len(lines) == 8 and all(line.startswith("  SKIP {") for line in lines[1:])
+
+
+def test_failed_identity_reaches_every_output(capsys, monkeypatch):
+    # shift xi on GN(2,2), which only the left sides of net-rec --n-max 2 ask
+    # about, so exactly its three instances fail
+    from chromatic_schur import verify
+
+    code, out, _ = run_cli(capsys, "--format", "json", "net-rec", "--n-max", "2")
+    clean = json.loads(out)["reports"][0]["instances"]
+    perturbed = [i for i in clean if i["params"]["n"] == i["params"]["m"] == 2]
+    assert code == 0 and len(perturbed) == 3
+    target = generalized_net(2, 2, "pendant_first")
+    xi = verify.xi
+    monkeypatch.setattr(verify, "xi", lambda lam, graph: xi(lam, graph) + (graph == target))
+
+    code, out, _ = run_cli(capsys, "--format", "json", "net-rec", "--n-max", "2")
+    report = json.loads(out)["reports"][0]
+    assert code == 1
+    assert report["failures"] == [
+        {"parameters": i["params"], "lhs": i["lhs"] + 1, "rhs": i["rhs"]} for i in perturbed
+    ]
+    assert report["instances_checked"] == len(clean)
+
+    code, out, _ = run_cli(capsys, "net-rec", "--n-max", "2")
+    lines = out.splitlines()
+    assert code == 1 and lines[0] == f"net-recurrence: FAIL ({len(clean)} instances)"
+    assert lines[1:] == [
+        f"  FAIL {json.dumps(i['params'], sort_keys=True)} lhs={i['lhs'] + 1} rhs={i['rhs']}"
+        for i in perturbed
+    ]
+
+    code, out, _ = run_cli(capsys, "--format", "csv", "net-rec", "--n-max", "2")
+    rows = list(csv.reader(out.splitlines()[1:]))
+    failed = [json.loads(row[1]) for row in rows if row[2] == "fail"]
+    assert code == 1 and failed == [i["params"] for i in perturbed]
+    assert all(row[2] == "pass" for row in rows if json.loads(row[1]) not in failed)
 
 def test_cancel_with_explicit_instance(capsys):
     code, out, _ = run_cli(

@@ -122,6 +122,23 @@ def test_positivity_sweep_with_claw_control():
     assert len(nets) == 9  # (n,m) with 0 <= m <= n <= 3
 
 
+def test_positivity_gate_records_budget_skips():
+    # at 100 ms every spider (7 to 9 vertices, 500 ms and up) is over budget;
+    # its record stays, marked as a budget skip, after the claw control
+    report = run_positivity_sweep(4, budget_ms=100)
+    assert report.passed and report.instances_checked == 15
+    assert report.instances[14]["params"]["kind"] == "claw-control"
+    skipped = report.instances[15:]
+    assert len(skipped) == 7 and all(i["status"] == "skip" and i["reason"] == "budget" for i in skipped)
+    assert [i["params"] for i in skipped] == [
+        {"kind": "spider-report", "n": n, "m": m} for n in (3, 4) for m in range(1, n + 1)
+    ]
+    # the default budget runs the same 22 records, none skipped
+    full = run_positivity_sweep(4)
+    assert full.instances[:15] == report.instances[:15]
+    assert [i["params"] for i in full.instances[15:]] == [i["params"] for i in skipped]
+    assert full.instances_checked == 22
+
 def test_f_table_suite():
     report = run_f_table_suite(4)
     assert report.passed
