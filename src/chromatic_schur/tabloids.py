@@ -91,40 +91,89 @@ def _content_table(shape: Partition) -> MappingProxyType:
     return MappingProxyType({mu: c for mu, c in out.items() if c})
 
 
+PLAN_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _hook_plan(shapes: tuple[Partition, ...]):
+    """The subdiagrams that peeling ``shapes`` reaches, numbered within
+    each size, as ``(ids, plans)``: ``ids[shape]`` is the index of
+    ``shape`` among the subdiagrams of its size, and ``plans[size]`` lists
+    ``(length, reduced id, sign)`` for every bottom hook of each subdiagram
+    of that size, in id order."""
+    ids: dict = {}
+    by_size: dict = {}
+    todo = list(shapes)
+    while todo:
+        shape = todo.pop()
+        if shape in ids:
+            continue
+        of_size = by_size.setdefault(sum(shape), [])
+        ids[shape] = len(of_size)
+        of_size.append(shape)
+        todo.extend(reduced for _, reduced in bottom_hook_choices(shape))
+    plans = {
+        size: tuple(
+            tuple(
+                (hook.length, ids[reduced], -1 if hook.north_steps & 1 else 1)
+                for hook, reduced in bottom_hook_choices(shape)
+            )
+            for shape in of_size
+        )
+        for size, of_size in by_size.items()
+    }
+    return ids, plans
+
+
 def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     """The sum of the signs of every SRH G-tabloid of each of ``shapes``
-    over ``graph``, as ``{shape: count}``.
+    over ``graph``, as ``{shape: count}``.  Every shape must have the
+    graph's vertex count as its size.
 
-    Sums the signs without building a tabloid: states reached through
-    different hook prefixes are shared via a memo on (subdiagram,
-    remaining-vertex bitmask).  Each hook takes the sets of
-    ``stable_sets(graph)`` that fit the remaining bitmask, so a state with
-    no complete filling sums to 0.  The shapes of one call share the memo,
-    which is dropped when the call returns.
+    Sums the signs without building a tabloid, by a memo on the
+    remaining-vertex bitmask alone.  A state with k vertices left holds the
+    signed counts of every subdiagram of size k that peeling ``shapes``
+    reaches, filled with exactly those vertices.  For each hook length it
+    first sums the rests' counts over the sets of ``stable_sets(graph)`` of
+    that length that fit; each subdiagram then reads its bottom hooks from
+    those sums, with their signs.  The hook plan depends only on the
+    shapes and is kept for the last ``PLAN_CACHE_SIZE`` shape tuples; the
+    memo is dropped when the call returns.
     """
+    shapes = tuple(dict.fromkeys(map(check_partition, shapes)))
+    if any(sum(shape) != graph.n for shape in shapes):
+        raise ValueError("partition size must equal the vertex count")
+    if not shapes:
+        return {}
+    ids, plans = _hook_plan(shapes)
     stable = stable_sets(graph)
-    memo: dict = {}
-
-    def count(shape, rem):
-        if not shape:
-            return 1
-        key = (shape, rem)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for hook, reduced in bottom_hook_choices(shape):
-            sub = 0
-            for group in stable[hook.length]:
-                if group & ~rem:
-                    continue
-                sub += count(reduced, rem ^ group)
-            total += -sub if hook.north_steps & 1 else sub
-        memo[key] = total
-        return total
-
     full = (1 << graph.n) - 1
-    return {shape: count(shape, full) for shape in map(check_partition, shapes)}
+    lengths = {
+        size: sorted({length for plan in of_size for length, _, _ in plan})
+        for size, of_size in plans.items()
+    }
+    memo = {0: [1]}
+
+    def counts(rem):
+        got = memo.get(rem)
+        if got is not None:
+            return got
+        size = rem.bit_count()
+        miss = full ^ rem
+        sums = {}
+        for length in lengths[size]:
+            rests = [counts(rem ^ group) for group in stable[length] if not group & miss]
+            if rests:
+                sums[length] = [sum(col) for col in zip(*rests)]
+        got = [
+            sum(sign * sums[length][rid] for length, rid, sign in plan if length in sums)
+            for plan in plans[size]
+        ]
+        memo[rem] = got
+        return got
+
+    top = counts(full)
+    return {shape: top[ids[shape]] for shape in shapes}
 
 
 @dataclass(frozen=True)
@@ -186,9 +235,12 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
 
     The tail holds only pendants when every hook's smallest vertices, one
     per tail cell of the hook, are pendants.  One memo on (subdiagram,
-    remaining bitmask) keeps both counts.
+    remaining bitmask) keeps both counts.  The shape's size must be the
+    graph's vertex count.
     """
     shape = check_partition(shape)
+    if sum(shape) != graph.n:
+        raise ValueError("partition size must equal the vertex count")
     stable = stable_sets(graph)
     h = _head_rows(shape)
     pend = vertex_mask(pendants)
@@ -228,7 +280,8 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
 
     A tabloid is selected when its bottom cell holds a pendant not adjacent
     to the vertex in the cell above it, and each hook holds at most one body
-    vertex among its tail cells.  The shape must end in two parts equal to 1.
+    vertex among its tail cells.  The shape must end in two parts equal to 1
+    and have the graph's vertex count as its size.
 
     Hook prefixes are peeled forward and summed per selection status by
     (subdiagram, remaining bitmask, head part of the crossing hook).  The
@@ -239,6 +292,10 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
     completes the head key.
     """
     shape = check_partition(shape)
+    if shape[-2:] != (1, 1):
+        raise ValueError("the shape must end in two parts equal to 1")
+    if sum(shape) != graph.n:
+        raise ValueError("partition size must equal the vertex count")
     adj = adjacency_masks(graph)
     stable = stable_sets(graph)
     h = _head_rows(shape)

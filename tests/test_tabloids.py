@@ -214,6 +214,104 @@ def test_grouped_equals_ungrouped_signed_sums():
             assert sum(t.sign for t in filled) == sum(sign * count for sign, count in pairs)
 
 
+# --- the signed G-tabloid count ------------------------------------------------
+
+
+def _half_density_graphs(seed):
+    """G(n, M) graphs on 10, 10, 11 and 11 vertices with half of all pairs
+    as edges, drawn as the benchmark's crosscheck workload draws them."""
+    import random
+
+    from chromatic_schur.graphs import LabeledGraph
+
+    rng = random.Random(seed)
+    out = []
+    for n in (10, 10, 11, 11):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        out.append(LabeledGraph(n, sorted(rng.sample(pairs, len(pairs) // 2))))
+    return out
+
+
+def test_signed_g_tabloid_counts_equal_the_grouped_route():
+    from chromatic_schur.coefficients import GROUPED, schur_expansion
+    from chromatic_schur.graphs import LabeledGraph, generalized_spider, path_graph
+    from chromatic_schur.tabloids import signed_g_tabloid_counts
+
+    graphs = [g for seed in range(3) for g in _half_density_graphs(seed)]
+    graphs += [
+        generalized_net(6, 6),
+        generalized_spider(6, (2, 1, 1, 1, 1)),
+        path_graph(12),
+        LabeledGraph(10, []),
+    ]
+    for graph in graphs:
+        shapes = partitions_of(graph.n)
+        grouped = schur_expansion(graph, GROUPED)
+        want = {lam: grouped[lam] for lam in shapes}
+        assert signed_g_tabloid_counts(graph, shapes) == want, graph
+
+
+def test_signed_g_tabloid_counts_match_the_stream():
+    import random
+
+    from chromatic_schur.tabloids import signed_g_tabloid_counts
+    from graph_helpers import random_graph
+
+    rng = random.Random(23)
+    for _ in range(40):
+        graph = random_graph(rng.randint(0, 6), rng, rng.choice((0.0, 0.3, 0.6)))
+        shapes = partitions_of(graph.n)
+        want = {lam: sum(t.sign for t in srh_g_tabloids(lam, graph)) for lam in shapes}
+        assert signed_g_tabloid_counts(graph, shapes) == want, graph
+        lam = rng.choice(shapes)
+        assert signed_g_tabloid_counts(graph, [lam]) == {lam: want[lam]}, (graph, lam)
+
+
+def test_single_shape_tabloid_calls_equal_the_expansion():
+    import random
+
+    from chromatic_schur.coefficients import TABLOID, schur_coefficient, schur_expansion
+    from graph_helpers import random_graph
+
+    graph = random_graph(9, random.Random(29))
+    expansion = schur_expansion(graph, TABLOID)
+    for lam in partitions_of(9):
+        assert schur_coefficient(graph, lam, TABLOID) == expansion[lam], lam
+
+
+def test_signed_g_tabloid_counts_edge_cases():
+    from chromatic_schur.graphs import LabeledGraph, path_graph
+    from chromatic_schur.tabloids import signed_g_tabloid_counts
+
+    empty = LabeledGraph(0, [])
+    assert signed_g_tabloid_counts(empty, [()]) == {(): 1}
+    assert signed_g_tabloid_counts(empty, []) == {}
+    # repeated shapes are counted once, in the order first asked
+    counts = signed_g_tabloid_counts(path_graph(3), [(2, 1), (1, 1, 1), (2, 1)])
+    assert list(counts.items()) == [((2, 1), 1), ((1, 1, 1), 4)]
+    with pytest.raises(ValueError, match="partition size must equal the vertex count"):
+        signed_g_tabloid_counts(path_graph(3), [(2,)])
+    with pytest.raises(ValueError, match="partition size must equal the vertex count"):
+        signed_g_tabloid_counts(path_graph(3), [(3,), (2, 1, 1)])
+
+
+def test_hook_plan_cache_stays_bounded():
+    from chromatic_schur import tabloids
+    from chromatic_schur.graphs import LabeledGraph
+
+    graph = LabeledGraph(6, [])
+    shapes = partitions_of(6)
+    tabloids._hook_plan.cache_clear()
+    for lam in shapes:
+        for mu in shapes:
+            tabloids.signed_g_tabloid_counts(graph, [lam, mu])
+    info = tabloids._hook_plan.cache_info()
+    assert len(shapes) ** 2 > tabloids.PLAN_CACHE_SIZE
+    assert info.maxsize == tabloids.PLAN_CACHE_SIZE and info.currsize <= tabloids.PLAN_CACHE_SIZE
+    # the edgeless graph's coefficients are the f^lambda
+    assert tabloids.signed_g_tabloid_counts(graph, [(5, 1), (3, 3)]) == {(5, 1): 5, (3, 3): 5}
+
+
 # --- bottom-vertex classes ----------------------------------------------------
 
 
@@ -361,6 +459,21 @@ def test_pendant_tail_counts_without_a_tail():
         total = sum(1 for _ in srh_g_tabloids(lam, graph))
         assert total > 0
         assert pendant_tail_counts(lam, graph, graph.vertices) == (total, 0)
+
+
+def test_head_tail_statistics_check_their_shapes():
+    from chromatic_schur.graphs import path_graph
+    from chromatic_schur.tabloids import head_class_sums, pendant_tail_counts
+
+    with pytest.raises(ValueError, match="partition size must equal the vertex count"):
+        pendant_tail_counts((1, 1), path_graph(3), [1])
+    net = generalized_net(2, 2)  # pendant-first: pendants 1, 2; body 3, 4
+    pendants, body = frozenset({1, 2}), frozenset({3, 4})
+    for lam in ((2, 1), (2, 2), (3, 1)):
+        with pytest.raises(ValueError, match="the shape must end in two parts equal to 1"):
+            head_class_sums(lam, net, pendants, body)
+    with pytest.raises(ValueError, match="partition size must equal the vertex count"):
+        head_class_sums((1, 1, 1), net, pendants, body)
 
 
 def test_head_class_sums_match_the_stream():
