@@ -6,10 +6,8 @@ the Schur basis either by signed rim hook tabloids or by Kostka
 back-substitution.  All three read stable sets from the one table of
 ``graphs.stable_sets``.  The only per-graph result kept between calls is
 the monomial expansion's read-only counts, which the last two share; no
-tabloid memo outlives its call, and the tabloid route keeps only a bounded
-cache of hook plans, which depend on the shapes alone.  Batch suites
-verify the recurrences and positivity statements these coefficients
-satisfy.
+tabloid memo outlives its call.  Batch suites verify the recurrences and
+positivity statements these coefficients satisfy.
 """
 
 from .coeffvec import MONOMIAL, SCHUR, CoefficientVector

@@ -17,10 +17,9 @@ against a brute-force tiler.  Grouped and oracle also share the monomial
 expansion, which comes from ``graphs.semi_ordered_partition_types``.  Its
 semi-ordered counts, the monomial coefficients, kept read-only per graph,
 are the only cache keyed by graph; the grouped route reads a coefficient
-straight from them, with no ``CoefficientVector`` built.  Every tabloid
-memo lives for one call; the tabloid route keeps only a bounded cache of
-hook plans, keyed by shapes, not by graph.  The principal-specialization
-tests share no code with any route.
+straight from them, with no ``CoefficientVector`` built, and every tabloid
+memo lives for one call.  The principal-specialization tests share no code
+with any route.
 """
 
 from __future__ import annotations

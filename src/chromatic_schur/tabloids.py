@@ -91,10 +91,6 @@ def _content_table(shape: Partition) -> MappingProxyType:
     return MappingProxyType({mu: c for mu, c in out.items() if c})
 
 
-PLAN_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _hook_plan(shapes: tuple[Partition, ...]):
     """The subdiagrams that peeling ``shapes`` reaches, numbered within
     each size, as ``(ids, plans)``: ``ids[shape]`` is the index of
@@ -136,9 +132,8 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     reaches, filled with exactly those vertices.  For each hook length it
     first sums the rests' counts over the sets of ``stable_sets(graph)`` of
     that length that fit; each subdiagram then reads its bottom hooks from
-    those sums, with their signs.  The hook plan depends only on the
-    shapes and is kept for the last ``PLAN_CACHE_SIZE`` shape tuples; the
-    memo is dropped when the call returns.
+    those sums, with their signs.  The hook plan and the memo are built
+    afresh by each call and dropped when it returns.
     """
     shapes = tuple(dict.fromkeys(map(check_partition, shapes)))
     if any(sum(shape) != graph.n for shape in shapes):

@@ -28,7 +28,7 @@ from chromatic_schur.graphs import (
     with_disjoint_path,
 )
 from chromatic_schur.partitions import UNDEFINED, partitions_of
-from chromatic_schur.tabloids import signed_content_table
+from chromatic_schur.tabloids import signed_content_table, signed_g_tabloid_counts
 from graph_helpers import random_graph, random_relabeling
 from tabloid_helpers import srh_g_tabloids
 
@@ -140,8 +140,9 @@ def test_is_schur_positive():
 
 
 def test_tabloid_count_matches_object_enumerator():
-    """The memoized signed count is exactly the sign sum over the streaming
-    enumerator; check on a mixed sweep."""
+    """The DP's signed count, asked one shape at a time and for every shape
+    at once, is exactly the sign sum over the streaming enumerator; check
+    on a mixed sweep."""
     rng = random.Random(99)
     graphs = [
         complete_graph(4),
@@ -152,10 +153,16 @@ def test_tabloid_count_matches_object_enumerator():
         with_disjoint_path(generalized_net(2, 1), 1),
     ]
     graphs += [random_graph(5, rng) for _ in range(6)]
+    graphs += [
+        random_graph(rng.randint(0, 6), rng, rng.choice((0.0, 0.3, 0.6)))
+        for _ in range(20)
+    ]
     for graph in graphs:
-        for lam in partitions_of(graph.n):
-            direct = sum(t.sign for t in srh_g_tabloids(lam, graph))
-            assert schur_coefficient(graph, lam, TABLOID) == direct
+        shapes = partitions_of(graph.n)
+        direct = {lam: sum(t.sign for t in srh_g_tabloids(lam, graph)) for lam in shapes}
+        assert signed_g_tabloid_counts(graph, shapes) == direct, graph
+        for lam in shapes:
+            assert schur_coefficient(graph, lam, TABLOID) == direct[lam], (graph, lam)
 
 
 def test_per_graph_caches_stay_bounded():
