@@ -11,15 +11,17 @@ All three must agree on every input; the test suite enforces this.  They are
 not wholly independent.  All three read stable sets from the one table of
 ``graphs.stable_sets``, which the tests check against the bitmask
 enumerator, and that against brute force.  The grouped and tabloid routes
-peel rim hooks with the one peel of ``tabloids``, which the head/tail
-statistics of the verification suites also walk; the tests check it
+peel rim hooks with the one arithmetic peel, ``tabloids.bottom_hooks``,
+whose hooks the head/tail statistics of the verification suites walk with
+their cells; the tests check the two against each other and the cells
 against a brute-force tiler.  Grouped and oracle also share the monomial
-expansion, which comes from ``graphs.semi_ordered_partition_types``.  Its
-semi-ordered counts, the monomial coefficients, kept read-only per graph,
-are the only cache keyed by graph; the grouped route reads a coefficient
-straight from them, with no ``CoefficientVector`` built, and every tabloid
-memo lives for one call.  The principal-specialization tests share no code
-with any route.
+expansion, which comes from one type DP in ``graphs``.  Its semi-ordered
+counts, the monomial coefficients, kept read-only per graph and keyed by
+the partition ids of ``partitions.partition_table``, are the only cache
+keyed by graph.  The grouped route dots them, id against id, with the
+signed content table of the shape, keyed by the same ids, and builds no
+``CoefficientVector`` or ``RimHook``.  Every tabloid memo lives for one
+call.  The principal-specialization tests share no code with any route.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .graphs import (
     PENDANT_LAST,
     LabeledGraph,
     generalized_net,
+    semi_ordered_counts_by_id,
     semi_ordered_partition_types,
 )
 from .partitions import UNDEFINED, check_partition, partitions_of
@@ -62,14 +65,14 @@ def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:
     if method == TABLOID:
         return signed_g_tabloid_counts(graph, [lam])[lam]
     if method == GROUPED:
-        return _grouped(lam, semi_ordered_partition_types(graph))
+        return _grouped(lam, semi_ordered_counts_by_id(graph))
     return monomial_to_schur(chromatic_monomial_expansion(graph))[lam]
 
 
 def _grouped(lam, mono) -> int:
     # lam: an already checked partition; mono: the cached monomial
-    # coefficients, zero entries absent
-    return sum(c * mono.get(mu, 0) for mu, c in _content_table(lam).items())
+    # coefficients by partition id, zero entries absent
+    return sum(c * mono.get(i, 0) for i, c in _content_table(lam).items())
 
 
 def schur_expansion(graph: LabeledGraph, method: str = GROUPED) -> CoefficientVector:
@@ -77,7 +80,7 @@ def schur_expansion(graph: LabeledGraph, method: str = GROUPED) -> CoefficientVe
     if method == ORACLE:
         return monomial_to_schur(chromatic_monomial_expansion(graph))
     if method == GROUPED:
-        mono = semi_ordered_partition_types(graph)
+        mono = semi_ordered_counts_by_id(graph)
         coeffs = {lam: _grouped(lam, mono) for lam in partitions_of(graph.n)}
     elif method == TABLOID:
         coeffs = signed_g_tabloid_counts(graph, partitions_of(graph.n))
@@ -95,7 +98,7 @@ def xi(lam, graph) -> int:
     lam = check_partition(lam)
     if sum(lam) != graph.n:
         return 0
-    return _grouped(lam, semi_ordered_partition_types(graph))
+    return _grouped(lam, semi_ordered_counts_by_id(graph))
 
 
 def f_coefficient(c: int, d: int) -> int:

@@ -8,16 +8,17 @@ to share across workers.
 Vertex sets in the enumerators are int bitmasks, bit ``v - 1`` for vertex
 ``v``.  ``stable_sets`` is the one source of stable sets in the package:
 every route and peel reads the table it builds from ``stable_masks``.  The
-semi-ordered counts of ``semi_ordered_partition_types``, the monomial
-coefficients, are the only result kept per graph; ``stable_partition_types``
-divides them back to unordered counts.
+semi-ordered counts of ``semi_ordered_counts_by_id``, the monomial
+coefficients keyed by the partition ids of ``partitions.partition_table``,
+are the only result kept per graph; ``semi_ordered_partition_types`` and
+``count_semi_ordered_stable_partitions`` read them keyed by partition.
 
 The type DP alone runs on a relabelled copy of the graph, its vertices
 ordered by descending degree with ties broken by label; the counts do not
-depend on labels.  Its states count partitions by integer ids, the
-partitions of 0..n numbered by size and then in ``partitions_of`` order,
-and insert a part through a table built once per n.  The rim hook peels and
-the head/tail statistics keep the graph's own labels.
+depend on labels.  Its states count partitions by id, and insert a part
+through the insertion rows of the same table, which the signed content
+tables of the grouped route share.  The rim hook peels and the head/tail
+statistics keep the graph's own labels.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from math import factorial, prod
 from types import MappingProxyType
 
-from .partitions import UNDEFINED, check_partition, partitions_of
+from .partitions import UNDEFINED, check_partition, partition_table
 
 PENDANT = "pendant"
 ANCHOR = "anchor"
@@ -307,22 +308,23 @@ def stable_sets(graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(stable_masks(adj, full, k)) for k in range(graph.n + 1))
 
 
-def stable_partition_types(graph):
-    """Number of unordered partitions of the vertex set into stable parts,
-    keyed by the type (sorted part sizes) ``mu``; types with none are absent.
-
-    Read off the semi-ordered counts of ``semi_ordered_partition_types`` by
-    dividing out the size-multiplicity factorials; not kept between calls.
-    """
-    counts = semi_ordered_partition_types(graph)
-    return MappingProxyType({mu: c // multiplicity_factorials(mu) for mu, c in counts.items()})
-
-
 def semi_ordered_partition_types(graph):
     """Number of partitions of the vertex set into stable parts of each type
     ``mu``, where parts of equal size additionally carry an order; types with
     none are absent.  These are the monomial coefficients of the chromatic
     symmetric function.
+
+    The counts of ``semi_ordered_counts_by_id``, read-only and keyed by
+    partition tuples; this view is built per call.
+    """
+    parts = partition_table(graph.n).parts
+    return MappingProxyType({parts[i]: c for i, c in semi_ordered_counts_by_id(graph).items()})
+
+
+def semi_ordered_counts_by_id(graph) -> MappingProxyType:
+    """The counts of ``semi_ordered_partition_types`` keyed by the ids of
+    ``partitions.partition_table``, read-only; the only result kept per
+    ``graph.key()``.
 
     One subset DP yields every type at once.  It is memoized on the
     remaining-vertex bitmask, and the lowest remaining vertex always opens
@@ -332,10 +334,8 @@ def semi_ordered_partition_types(graph):
     are reached (1 920 rather than 6 177 on GN(8,8)).  A state's counts are
     keyed by partition id.  It first sums the counts of the rests left by
     every opening set of one size, then inserts that part once through the
-    table of ``_partition_table``.  Each unordered count is then multiplied
-    by the factorials of its size multiplicities.  The result is kept per
-    ``graph.key()`` and returned read-only, keyed by partition tuples, so a
-    caller that asks for one coefficient at a time reads it without a copy.
+    table's insertion row.  Each unordered count is then multiplied by the
+    factorials of its size multiplicities.
     """
     return _types_for(graph.key())
 
@@ -355,11 +355,9 @@ def _types_for(key) -> MappingProxyType:
         for group in groups:
             opening[(group & -group).bit_length()].setdefault(size, []).append(group)
     opening = [tuple(by_size.items()) for by_size in opening]
-    parts, insert = _partition_table(n)
+    parts, _, insert = partition_table(n)
     types = _types_of_remaining(opening, insert, (1 << n) - 1, {0: {0: 1}})
-    return MappingProxyType(
-        {parts[i]: c * multiplicity_factorials(parts[i]) for i, c in types.items()}
-    )
+    return MappingProxyType({i: c * multiplicity_factorials(parts[i]) for i, c in types.items()})
 
 
 def _types_of_remaining(opening, insert, remaining: int, memo: dict) -> dict:
@@ -382,29 +380,6 @@ def _types_of_remaining(opening, insert, remaining: int, memo: dict) -> dict:
     return out
 
 
-@lru_cache(maxsize=None)
-def _partition_table(n: int) -> tuple[tuple, tuple]:
-    """The partitions of 0..n numbered by size, then in ``partitions_of``
-    order, and the insertion table of that numbering.
-
-    ``insert[k][i]`` is the number of partition ``i`` with a part ``k``
-    inserted, for every ``i`` of size at most n - k.  The numbering for n is
-    a prefix of the numbering for n + 1.
-    """
-    parts = tuple(mu for size in range(n + 1) for mu in partitions_of(size))
-    ids = {mu: i for i, mu in enumerate(parts)}
-    insert = [()]
-    for k in range(1, n + 1):
-        row = []
-        for mu in parts:
-            if sum(mu) + k > n:
-                break
-            at = sum(1 for part in mu if part >= k)
-            row.append(ids[mu[:at] + (k,) + mu[at:]])
-        insert.append(tuple(row))
-    return parts, tuple(insert)
-
-
 def count_semi_ordered_stable_partitions(graph, mu) -> int:
     """Count partitions of the vertex set into stable parts of sizes ``mu``,
     where parts of equal size additionally carry an order.
@@ -415,7 +390,7 @@ def count_semi_ordered_stable_partitions(graph, mu) -> int:
     mu = check_partition(mu)
     if sum(mu) != graph.n:
         raise ValueError("partition size must equal the vertex count")
-    return semi_ordered_partition_types(graph).get(mu, 0)
+    return semi_ordered_counts_by_id(graph).get(partition_table(graph.n).ids[mu], 0)
 
 
 def multiplicity_factorials(mu) -> int:

@@ -9,7 +9,8 @@ can be cached freely.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
 Composition = tuple[int, ...]
@@ -86,3 +87,40 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
         for rest in partitions_of(n - first, first):
             out.append((first,) + rest)
     return tuple(out)
+
+
+class PartitionTable(NamedTuple):
+    parts: tuple[Partition, ...]
+    ids: MappingProxyType
+    insert: tuple[tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=None)
+def partition_table(n: int) -> PartitionTable:
+    """The partitions of 0..n numbered by size, then in ``partitions_of``
+    order: ``parts[i]`` is partition ``i`` and ``ids`` maps it back.
+
+    ``insert[k][i]`` is the number of partition ``i`` with a part ``k``
+    inserted, for every ``i`` of size at most n - k (``insert[0]`` is
+    empty).  The numbering and each insertion row for n are prefixes of
+    those for n + 1, so an id means the same partition in every table, and
+    the table for n extends the one for n - 1 by the partitions of n.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n == 0:
+        return PartitionTable(((),), MappingProxyType({(): 0}), ((),))
+    prev = partition_table(n - 1)
+    parts = prev.parts + partitions_of(n)
+    ids = dict(prev.ids)
+    ids.update((mu, i) for i, mu in enumerate(partitions_of(n), len(prev.parts)))
+    # row k gains the partitions of n - k, numbered right after those of
+    # the sizes below
+    insert = [()]
+    for k in range(1, n + 1):
+        row = []
+        for mu in partitions_of(n - k):
+            at = sum(1 for part in mu if part >= k)
+            row.append(ids[mu[:at] + (k,) + mu[at:]])
+        insert.append((prev.insert[k] if k < n else ()) + tuple(row))
+    return PartitionTable(parts, MappingProxyType(ids), tuple(insert))

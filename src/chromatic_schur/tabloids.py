@@ -8,6 +8,13 @@ of vertices, placed in increasing label order outward from the first column.
 
 Rows are indexed from the top starting at 1, columns from the left starting
 at 1, and cells keep their absolute coordinates as hooks are peeled away.
+
+Both rim hook routes peel with ``bottom_hooks``, which reads each hook's top
+row, length, sign and the diagram it leaves off the row lengths alone.  The
+grouped route's signed content tables are keyed by the partition ids of
+``partitions.partition_table``, and the tabloid route numbers the
+subdiagrams it reaches.  Only the head/tail statistics, which place
+vertices in cells, build ``RimHook`` cells, by ``bottom_hook_choices``.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .graphs import LabeledGraph, adjacency_masks, mask_labels, stable_sets, vertex_mask
-from .partitions import Partition, check_partition
+from .partitions import Partition, check_partition, partition_table
 
 Cell = tuple[int, int]
 
@@ -46,22 +53,40 @@ class RimHook:
 
 
 @lru_cache(maxsize=None)
-def bottom_hook_choices(shape: Partition) -> tuple[tuple[RimHook, Partition], ...]:
+def bottom_hooks(shape: Partition) -> tuple[tuple[int, int, int, Partition], ...]:
     """Every special rim hook of ``shape`` containing the bottom-left cell,
-    shortest first, with the diagram left behind.
+    shortest first, as ``(top, length, sign, reduced)``: the hook reaches
+    up to row ``top``, has ``length`` cells and the sign (-1) to its north
+    steps, and leaves the diagram ``reduced``.
 
     The hook reaching up to ``top`` covers the whole bottom row and then
     columns shape[r]..shape[r-1] of each row r above; any hook whose removal
-    leaves a partition must have this form, so these are all of them.
+    leaves a partition must have this form, so these are all of them.  It
+    makes one north step per row above the bottom, and its length and the
+    diagram it leaves follow from the row lengths alone, so no cell is
+    built.
     """
     k = len(shape)
     out = []
+    length = 0
     for top in range(k, 0, -1):
+        length += shape[top - 1] if top == k else shape[top - 1] - shape[top] + 1
+        reduced = shape[: top - 1] + tuple(p - 1 for p in shape[top:] if p > 1)
+        out.append((top, length, -1 if (k - top) & 1 else 1, reduced))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def bottom_hook_choices(shape: Partition) -> tuple[tuple[RimHook, Partition], ...]:
+    """The hooks of ``bottom_hooks``, in the same order, as ``(RimHook,
+    reduced)`` with their cells, for the peels that place vertices in
+    cells."""
+    k = len(shape)
+    out = []
+    for top, _, _, reduced in bottom_hooks(shape):
         cells = [(k, c) for c in range(1, shape[k - 1] + 1)]
         for r in range(k - 1, top - 1, -1):
             cells.extend((r, c) for c in range(shape[r], shape[r - 1] + 1))
-        reduced = shape[: top - 1] + tuple(shape[r] - 1 for r in range(top, k))
-        reduced = tuple(p for p in reduced if p > 0)
         out.append((RimHook(tuple(cells)), reduced))
     return tuple(out)
 
@@ -73,22 +98,29 @@ def signed_content_table(shape) -> MappingProxyType:
     These are the inverse Kostka numbers K^-1(mu, shape) (Egecioglu and
     Remmel, 1990).  One peel builds the table: each bottom hook's sign times
     the table of the diagram it leaves, with the hook's length inserted into
-    every content.  Tables are kept per shape for the life of the process.
+    every content.  The tables are kept per shape for the life of the
+    process, keyed by the ids of ``partitions.partition_table``, and an
+    insertion is one lookup in its row for the hook length; this view
+    keyed by partitions is built per call.
     """
-    return _content_table(check_partition(shape))
+    shape = check_partition(shape)
+    parts = partition_table(sum(shape)).parts
+    return MappingProxyType({parts[i]: c for i, c in _content_table(shape).items()})
 
 
 @lru_cache(maxsize=None)
 def _content_table(shape: Partition) -> MappingProxyType:
+    # {mu id: K^-1(mu, shape)} without zeros
     if not shape:
-        return MappingProxyType({(): 1})
+        return MappingProxyType({0: 1})
+    insert = partition_table(sum(shape)).insert
     out = {}
-    for hook, reduced in bottom_hook_choices(shape):
-        sign = -1 if hook.north_steps & 1 else 1
-        for mu, c in _content_table(reduced).items():
-            nu = tuple(sorted(mu + (hook.length,), reverse=True))
-            out[nu] = out.get(nu, 0) + sign * c
-    return MappingProxyType({mu: c for mu, c in out.items() if c})
+    for _, length, sign, reduced in bottom_hooks(shape):
+        row = insert[length]
+        for i, c in _content_table(reduced).items():
+            j = row[i]
+            out[j] = out.get(j, 0) + sign * c
+    return MappingProxyType({j: c for j, c in out.items() if c})
 
 
 def _hook_plan(shapes: tuple[Partition, ...]):
@@ -107,13 +139,10 @@ def _hook_plan(shapes: tuple[Partition, ...]):
         of_size = by_size.setdefault(sum(shape), [])
         ids[shape] = len(of_size)
         of_size.append(shape)
-        todo.extend(reduced for _, reduced in bottom_hook_choices(shape))
+        todo.extend(reduced for *_, reduced in bottom_hooks(shape))
     plans = {
         size: tuple(
-            tuple(
-                (hook.length, ids[reduced], -1 if hook.north_steps & 1 else 1)
-                for hook, reduced in bottom_hook_choices(shape)
-            )
+            tuple((length, ids[reduced], sign) for _, length, sign, reduced in bottom_hooks(shape))
             for shape in of_size
         )
         for size, of_size in by_size.items()

@@ -1,7 +1,8 @@
 """Graph helpers that only the tests use: seeded random graphs and
 relabelings, brute-force connectivity, isomorphism and claw detection, the
-role invariants, and the brute-force least edge mask and connected-graph
-census the package's census is checked against."""
+role invariants, the unordered stable-partition counts, and the brute-force
+least edge mask and connected-graph census the package's census is checked
+against."""
 
 import itertools
 import random
@@ -14,6 +15,8 @@ from chromatic_schur.graphs import (
     SPECIAL_ANCHOR,
     SPECIAL_PENDANT,
     LabeledGraph,
+    multiplicity_factorials,
+    semi_ordered_partition_types,
 )
 
 
@@ -93,6 +96,17 @@ def brute_force_connected_graphs(n: int) -> list[LabeledGraph]:
         if is_connected(graph):
             reps.setdefault(least_edge_mask_by_relabeling(graph), graph)
     return [reps[c] for c in sorted(reps)]
+
+
+def stable_partition_types(graph) -> dict:
+    """Number of unordered partitions of the vertex set into stable parts,
+    keyed by the type (sorted part sizes) ``mu``; types with none are absent.
+
+    Read off the semi-ordered counts of ``semi_ordered_partition_types`` by
+    dividing out the size-multiplicity factorials.
+    """
+    counts = semi_ordered_partition_types(graph)
+    return {mu: c // multiplicity_factorials(mu) for mu, c in counts.items()}
 
 
 def random_graph(n: int, rng: random.Random, edge_probability: float = 0.5) -> LabeledGraph:

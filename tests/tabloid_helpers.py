@@ -2,15 +2,18 @@
 
 ``srh_tabloids`` lists the special rim hook tabloids one by one, as
 ``SrhTabloid`` objects; the tests compare the signed content table against
-it and read the golden cases from it.  ``srh_g_tabloids`` streams the
-graph-filled tabloids one by one, a small-n reference for the memoized
-counts of ``chromatic_schur.tabloids``, and ``split_head_tail`` cuts one at
-the head/tail boundary.
+it and read the golden cases from it.  ``reference_content_table`` builds
+the same table keyed by partitions, by a peel over the hook cells: a wider
+reference for the id-keyed tables of ``chromatic_schur.tabloids``.
+``srh_g_tabloids`` streams the graph-filled tabloids one by one, a small-n
+reference for the memoized counts of ``chromatic_schur.tabloids``, and
+``split_head_tail`` cuts one at the head/tail boundary.
 ``tabloids_with_bottom_vertex`` picks out the bottom-cell classes that the
 recurrences split on.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from chromatic_schur.graphs import adjacency_masks, mask_labels, stable_masks
 from chromatic_schur.partitions import UNDEFINED, Partition, check_partition
@@ -84,6 +87,24 @@ def srh_tabloids(shape):
             acc.pop()
 
     yield from rec(shape, [])
+
+
+@lru_cache(maxsize=None)
+def reference_content_table(shape) -> dict:
+    """The signed count of the special rim hook tabloids of ``shape`` with
+    each sorted content, as ``{mu: count}`` without zeros: each bottom
+    hook's sign, (-1) to the north steps of its cells, times the table of
+    the diagram it leaves, with the hook's length sorted into every
+    content."""
+    if not shape:
+        return {(): 1}
+    out = {}
+    for hook, reduced in bottom_hook_choices(shape):
+        sign = -1 if hook.north_steps & 1 else 1
+        for mu, c in reference_content_table(reduced).items():
+            nu = tuple(sorted(mu + (hook.length,), reverse=True))
+            out[nu] = out.get(nu, 0) + sign * c
+    return {mu: c for mu, c in out.items() if c}
 
 
 def srh_g_tabloids(shape, graph):

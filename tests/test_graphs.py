@@ -26,15 +26,13 @@ from chromatic_schur.graphs import (
     is_claw_free,
     least_edge_mask,
     mask_labels,
-    _partition_table,
     path_graph,
     stable_masks,
-    stable_partition_types,
     star_graph,
     vertex_mask,
     with_disjoint_path,
 )
-from chromatic_schur.partitions import UNDEFINED, partitions_of
+from chromatic_schur.partitions import UNDEFINED, partition_table, partitions_of
 from graph_helpers import (
     are_isomorphic,
     brute_force_connected_graphs,
@@ -43,6 +41,7 @@ from graph_helpers import (
     least_edge_mask_by_relabeling,
     random_graph,
     random_relabeling,
+    stable_partition_types,
     validate_roles,
 )
 
@@ -286,9 +285,12 @@ def test_stable_partition_types_ignore_labels():
 
 
 def test_partition_insertion_table():
-    parts, insert = _partition_table(12)
+    parts, ids, insert = partition_table(12)
     assert parts == tuple(mu for size in range(13) for mu in partitions_of(size))
-    assert _partition_table(9)[0] == parts[: len(_partition_table(9)[0])]
+    assert ids == {mu: i for i, mu in enumerate(parts)}
+    small = partition_table(9)
+    assert small.parts == parts[: len(small.parts)]
+    assert all(insert[k][: len(row)] == row for k, row in enumerate(small.insert))
     for k in range(1, 13):
         assert len(insert[k]) == sum(1 for mu in parts if sum(mu) + k <= 12)
         for i, j in enumerate(insert[k]):

@@ -3,12 +3,19 @@ import pytest
 from chromatic_schur.graphs import (
     complete_graph,
     generalized_net,
+    path_graph,
     star_graph,
     with_disjoint_path,
 )
 from chromatic_schur.partitions import UNDEFINED, partitions_of, sort_to_partition
-from chromatic_schur.tabloids import signed_content_table
-from tabloid_helpers import split_head_tail, srh_g_tabloids, srh_tabloids, tabloids_with_bottom_vertex
+from chromatic_schur.tabloids import bottom_hook_choices, bottom_hooks, signed_content_table
+from tabloid_helpers import (
+    reference_content_table,
+    split_head_tail,
+    srh_g_tabloids,
+    srh_tabloids,
+    tabloids_with_bottom_vertex,
+)
 
 
 # --- independent oracle -----------------------------------------------------
@@ -142,6 +149,35 @@ def test_signed_content_table_matches_enumerated_tabloids():
             assert dict(table) == {mu: c for mu, c in grouped.items() if c}, shape
     with pytest.raises(TypeError):
         table[shape] = 0  # read-only
+
+
+def test_arithmetic_peel_matches_the_hook_cells():
+    # the same hooks in the same order: length, sign and the diagram left
+    for n in range(13):
+        for shape in partitions_of(n):
+            expected = [
+                (hook.cells[-1][0], hook.length, -1 if hook.north_steps & 1 else 1, reduced)
+                for hook, reduced in bottom_hook_choices(shape)
+            ]
+            assert list(bottom_hooks(shape)) == expected, shape
+
+
+def test_id_keyed_content_tables_match_the_reference():
+    for n in range(15):
+        for shape in partitions_of(n):
+            assert dict(signed_content_table(shape)) == reference_content_table(shape), shape
+
+
+def test_grouped_route_builds_no_rim_hook():
+    from chromatic_schur import graphs, tabloids
+    from chromatic_schur.coefficients import schur_expansion
+
+    for cached in (tabloids.bottom_hook_choices, tabloids.bottom_hooks, tabloids._content_table):
+        cached.cache_clear()
+    graphs._types_for.cache_clear()
+    schur_expansion(path_graph(12))
+    assert tabloids.bottom_hooks.cache_info().currsize > 0
+    assert tabloids.bottom_hook_choices.cache_info().currsize == 0
 
 
 # --- graph-filled tabloids ---------------------------------------------------
@@ -510,7 +546,7 @@ def test_peels_build_the_stable_set_table_once(monkeypatch):
 
     from chromatic_schur import graphs, tabloids
     from chromatic_schur.coefficients import schur_expansion
-    from graph_helpers import random_graph
+    from graph_helpers import random_graph, stable_partition_types
 
     calls = 0
     walk = graphs.stable_masks
@@ -531,7 +567,7 @@ def test_peels_build_the_stable_set_table_once(monkeypatch):
         lambda: schur_expansion(graph, "tabloid"),
         lambda: tabloids.pendant_tail_counts(lam, net, pendants),
         lambda: tabloids.head_class_sums(lam, net, pendants, body),
-        lambda: graphs.stable_partition_types(graph),
+        lambda: stable_partition_types(graph),
     ):
         calls = 0
         run()
