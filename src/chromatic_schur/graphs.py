@@ -463,10 +463,13 @@ def connected_graphs(n: int) -> list[LabeledGraph]:
     each pair of twins, and drops a branch whose high bits already exceed
     the best mask.  Each class is returned as the graph of its canonical
     mask, in increasing mask order.
-    Removing a leaf of a spanning tree leaves a graph connected, so every
-    class has a member made of an (n - 1)-vertex representative with vertex
-    n joined to a nonempty subset of its vertices; only those candidates
-    are canonicalized.
+    The candidates are the (n - 1)-vertex representatives with vertex n
+    joined to a nonempty subset of their vertices, and only those in which
+    no other non-cut vertex has a smaller invariant (degree, then sorted
+    neighbour degrees) than vertex n are canonicalized.  No class is lost:
+    deleting a non-cut vertex of least invariant from any member leaves a
+    connected graph isomorphic to a representative, and joining the vertex
+    back gives a candidate that passes.
     """
     if n <= 1:
         return [LabeledGraph(n)]
@@ -474,10 +477,38 @@ def connected_graphs(n: int) -> list[LabeledGraph]:
     for rep in connected_graphs(n - 1):
         rep_adj = adjacency_masks(rep)
         for joined in range(1, 1 << (n - 1)):
-            adj = [a | (joined >> (v - 1) & 1) << (n - 1) for v, a in enumerate(rep_adj[1:], 1)]
-            canons.add(least_edge_mask([0, *adj, joined]))
+            adj = [0, *(a | (joined >> (v - 1) & 1) << (n - 1) for v, a in enumerate(rep_adj[1:], 1)), joined]
+            if _last_is_least_non_cut(adj):
+                canons.add(least_edge_mask(adj))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     return [
         LabeledGraph(n, [pairs[i] for i in range(len(pairs)) if bits >> i & 1])
         for bits in sorted(canons)
     ]
+
+
+def _last_is_least_non_cut(adj) -> bool:
+    """Whether no non-cut vertex but the last has a smaller (degree, sorted
+    neighbour degrees) than the last vertex, in the graph of the neighbour
+    masks ``adj`` of ``adjacency_masks``."""
+    n = len(adj) - 1
+    degree = [a.bit_count() for a in adj]
+
+    def invariant(v):
+        return degree[v], sorted(degree[w] for w in mask_labels(adj[v]))
+
+    last = invariant(n)
+    return not any(invariant(v) < last and _connected_without(adj, v) for v in range(1, n))
+
+
+def _connected_without(adj, v: int) -> bool:
+    """Whether deleting vertex ``v`` leaves the graph of ``adj`` connected."""
+    rest = (1 << (len(adj) - 1)) - 1 ^ 1 << (v - 1)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        for w in mask_labels(frontier):
+            reach |= adj[w]
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen == rest

@@ -110,10 +110,18 @@ def _verdict(params: dict, lhs, rhs, **detail) -> dict:
     return {"params": params, "lhs": lhs, "rhs": rhs, **detail, "status": "pass" if lhs == rhs else "fail"}
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or all of them where the platform
+    cannot say."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_instances(fn, params: list, jobs: int) -> list:
     # the pool forks all its workers at the first submit, so never ask for
-    # more than there are instances or cores
-    workers = min(jobs, len(params), os.cpu_count() or 1)
+    # more than there are instances or CPUs this process may run on
+    workers = min(jobs, len(params), _usable_cpus())
     if workers > 1:
         # one round trip per chunk rather than per instance; four chunks per
         # worker still let a worker that finishes early take more

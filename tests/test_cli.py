@@ -235,8 +235,8 @@ def test_singleton_removal_exit_zero(capsys):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_all_runs_every_suite(capsys, monkeypatch, jobs):
     # the pooled suites give the same bytes as the serial ones; two workers
-    # even on a one-core host
-    monkeypatch.setattr("chromatic_schur.verify.os.cpu_count", lambda: 2)
+    # even on a one-CPU or pinned host
+    monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
     code, out, _ = run_cli(capsys, "--jobs", jobs, "--format", "json", "all")
     assert code == 0
     assert [r["statement_id"] for r in json.loads(out)["reports"]] == [

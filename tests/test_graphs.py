@@ -24,6 +24,7 @@ from chromatic_schur.graphs import (
     generalized_net,
     generalized_spider,
     is_claw_free,
+    _last_is_least_non_cut,
     least_edge_mask,
     mask_labels,
     path_graph,
@@ -211,7 +212,6 @@ def test_least_edge_mask_matches_every_relabeling():
         assert least_edge_mask(adjacency_masks(shuffled)) == expected, shuffled
 
 
-@pytest.mark.slow
 def test_connected_graph_census_on_seven_vertices():
     # OEIS A001349; the digest pins the list and its order as the search over
     # every relabeling gave them
@@ -221,6 +221,30 @@ def test_connected_graph_census_on_seven_vertices():
     assert digest == "cf72f473a777d59c28dd653906ba815d68e0ce4844b47e000553c8ce60eb52e6"
     # OEIS A022562
     assert sum(map(is_claw_free, graphs)) == 191
+
+
+def _without(graph, v):
+    # the graph less vertex v, the labels above v moved down by one
+    return LabeledGraph(graph.n - 1, [(a - (a > v), b - (b > v)) for a, b in graph.edges if v not in (a, b)])
+
+
+def test_census_candidate_rule():
+    # a candidate is canonicalized only when its last vertex has the least
+    # (degree, sorted neighbour degrees) among the non-cut vertices; in
+    # K4 - c - K4 the vertex c of least invariant is a cut vertex, so the
+    # class is reached with a degree-3 vertex of a K4 joined last
+    k4_c_k4 = LabeledGraph(
+        9, [*itertools.combinations(range(1, 5), 2), *itertools.combinations(range(6, 10), 2), (4, 5), (5, 6)]
+    )
+    for graph in [*connected_graphs(6), _cycle(7), k4_c_k4]:
+        n = graph.n
+        invariant = {v: (graph.degree(v), sorted(map(graph.degree, graph.neighbors(v)))) for v in graph.vertices}
+        non_cut = [v for v in graph.vertices if is_connected(_without(graph, v))]
+        least = min(invariant[v] for v in non_cut)
+        # a census candidate's last vertex is never a cut vertex
+        for v in non_cut:
+            last = graph.relabel({**{u: u for u in graph.vertices}, v: n, n: v})
+            assert _last_is_least_non_cut(adjacency_masks(last)) == (invariant[v] == least), (graph, v)
 
 
 def test_stable_partition_counts():

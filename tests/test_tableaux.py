@@ -55,10 +55,15 @@ def ssyt_count(shape, weight):
 
 
 def test_kostka_matches_ssyt_backtracking_through_degree_8():
+    # kostka_number grows one weight's Pieri rows, kostka_matrix every
+    # weight's with shared prefixes
     for n in range(9):
+        table = kostka_matrix(n)
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert kostka_number(lam, mu) == ssyt_count(lam, mu), (lam, mu)
+                expected = ssyt_count(lam, mu)
+                assert kostka_number(lam, mu) == table.get((lam, mu), 0) == expected, (lam, mu)
+        assert 0 not in table.values()
 
 
 def test_kostka_times_signed_rim_hook_tabloids_is_identity():

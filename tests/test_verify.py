@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from chromatic_schur import verify
 from chromatic_schur.graphs import BODY_ROLES, PENDANT_ROLES, generalized_net
 from chromatic_schur.partitions import UNDEFINED
 from chromatic_schur.verify import (
@@ -200,10 +201,10 @@ def test_report_contract():
 
 
 def test_parallel_jobs_identical(monkeypatch):
-    # two workers even on a one-core host; each suite maps at least
+    # two workers even on a one-CPU host; each suite maps at least
     # 2 * CHUNKS_PER_WORKER instances, so the pool hands out more chunks
     # than it has workers
-    monkeypatch.setattr("chromatic_schur.verify.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
     for run, size in (
         (run_net_recurrence_suite, 3),
         (run_spider_recurrence_suite, 4),
@@ -307,11 +308,11 @@ def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
     monkeypatch.setattr("chromatic_schur.verify.ProcessPoolExecutor", InProcessPool)
     sequential = run_net_recurrence_suite(2, jobs=1)
     bounded = run_net_recurrence_suite(2, jobs=10_000)
-    assert all(w <= (os.cpu_count() or 1) and w <= len(bounded.instances) for w in requested)
+    assert all(w <= verify._usable_cpus() and w <= len(bounded.instances) for w in requested)
     assert bounded.instances == sequential.instances
     # open-coeffs hands its instances to the pool too, with its budget skips
     # (two of the three n = 4 instances at 600 ms) kept in place
-    monkeypatch.setattr("chromatic_schur.verify.os.cpu_count", lambda: 2)
+    monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
     requested.clear()
     pooled = run_open_coefficient_report(4, jobs=2, budget_ms=600)
     assert requested == [2]
@@ -322,6 +323,20 @@ def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
     chunked = run_net_recurrence_suite(4, jobs=2)
     assert requested == [2]
     assert chunked.instances == run_net_recurrence_suite(4, jobs=1).instances
+
+
+def test_jobs_capped_by_cpu_affinity(monkeypatch):
+    # a process pinned to one CPU runs --jobs 2 serially, with the same report
+    def no_pool(max_workers):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr("chromatic_schur.verify.ProcessPoolExecutor", no_pool)
+    assert verify._usable_cpus() == 1
+    pinned = run_net_recurrence_suite(4, jobs=2)
+    monkeypatch.undo()
+    assert pinned.to_json_dict() == run_net_recurrence_suite(4, jobs=1).to_json_dict()
 
 
 def test_suite_argument_validation():
