@@ -2,18 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .partitions import Partition, check_partition
+from .records import FrozenRecord
 
 MONOMIAL = "monomial"
 SCHUR = "schur"
 _BASES = (MONOMIAL, SCHUR)
 
 
-@dataclass(frozen=True, eq=True)
-class CoefficientVector:
+class CoefficientVector(FrozenRecord):
     """Finitely supported integer vector over partitions of one fixed size.
 
     Zero entries are never stored and all arithmetic stays in Python's
@@ -21,15 +21,14 @@ class CoefficientVector:
     fixed-width type may enter the coefficient path.
     """
 
-    basis: str
-    coeffs: Mapping[Partition, int] = field(default_factory=dict)
+    __slots__ = _fields = ("basis", "coeffs")
 
-    def __post_init__(self):
-        if self.basis not in _BASES:
-            raise ValueError(f"unknown basis {self.basis!r}")
+    def __init__(self, basis: str, coeffs: Mapping[Partition, int] = MappingProxyType({})):
+        if basis not in _BASES:
+            raise ValueError(f"unknown basis {basis!r}")
         clean: dict[Partition, int] = {}
         degree = None
-        for mu, c in self.coeffs.items():
+        for mu, c in coeffs.items():
             mu = check_partition(mu)
             c = int(c)
             if c == 0:
@@ -39,6 +38,7 @@ class CoefficientVector:
             elif sum(mu) != degree:
                 raise ValueError("mixed degrees in coefficient vector")
             clean[mu] = c
+        object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "coeffs", clean)
 
     def degree(self) -> int | None:

@@ -19,26 +19,29 @@ vertices in cells, build ``RimHook`` cells, by ``bottom_hook_choices``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
 from .graphs import LabeledGraph, adjacency_masks, mask_labels, stable_sets, vertex_mask
 from .partitions import Partition, check_partition, partition_table
+from .records import FrozenRecord
 
 Cell = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class RimHook:
-    cells: tuple[Cell, ...]
-    length: int = field(init=False, repr=False, compare=False)
-    north_steps: int = field(init=False, repr=False, compare=False)
+class RimHook(FrozenRecord):
+    """A special rim hook by its cells, from the first column outward; equal
+    hooks have equal cells, and ``length`` and ``north_steps`` are set once
+    from them."""
 
-    def __post_init__(self):
-        if not self.cells or self.cells[0][1] != 1:
+    __slots__ = ("cells", "length", "north_steps")
+    _fields = ("cells",)
+
+    def __init__(self, cells: tuple[Cell, ...]):
+        if not cells or cells[0][1] != 1:
             raise ValueError("a special rim hook must start in the first column")
-        object.__setattr__(self, "length", len(self.cells))
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "length", len(cells))
         object.__setattr__(self, "north_steps", self.steps.count("N"))
 
     @property
@@ -200,8 +203,7 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     return {shape: top[ids[shape]] for shape in shapes}
 
 
-@dataclass(frozen=True)
-class TabloidPart:
+class TabloidPart(FrozenRecord):
     """Restriction of a G-tabloid to its head rows (lengths > 1) or its tail
     rows (length 1), with rows renumbered to start at 1.
 
@@ -210,8 +212,11 @@ class TabloidPart:
     continues across the head/tail boundary is deliberately not recorded.
     """
 
-    row_lengths: Partition
-    fragments: tuple[tuple[tuple[Cell, ...], tuple[int, ...]], ...]
+    __slots__ = _fields = ("row_lengths", "fragments")
+
+    def __init__(self, row_lengths: Partition, fragments: tuple[tuple[tuple[Cell, ...], tuple[int, ...]], ...]):
+        object.__setattr__(self, "row_lengths", row_lengths)
+        object.__setattr__(self, "fragments", fragments)
 
     def vertex_set(self) -> frozenset:
         return frozenset(v for _, verts in self.fragments for v in verts)

@@ -6,22 +6,30 @@ both sides of the identity and every sub-term, so a failing instance can be
 reproduced from the report alone.
 
 Instance evaluation functions are pure and take plain tuples or dicts, so
-suites can fan out over a process pool; results are merged back in the
-canonical instance order regardless of worker count.  The pool takes the
-instances in contiguous chunks, about four per worker.  Instances come in
-the order of their parameters, so neighbouring instances ask about the same
-or similar graphs and shapes, and a worker that holds a run of them finds
-its per-graph counts and content tables already cached.  A report's
-verdicts are read from its instance records, and a suite with a cost budget
-keeps a skip record in place of each instance priced above it.
+suites can fan out over worker processes; results are merged back in the
+canonical instance order regardless of worker count.  The map forks its
+workers itself, at most one per instance and per CPU this process may run
+on.  It cuts the instances into contiguous chunks, about four per worker,
+and deals them round-robin.  Instances come in the order of their
+parameters, so neighbouring instances ask about the same or similar graphs
+and shapes, and a worker that holds a run of them finds its per-graph counts
+and content tables already cached; dealing the chunks round-robin spreads a
+suite whose cost rises along its parameters over every worker.  Each worker
+pickles its results, or the exception it raised, down a pipe and leaves by
+``os._exit``.  There is no executor: importing ``concurrent.futures`` cost
+every process more than all the command line's other imports together,
+though only ``--jobs`` above 1 forks, and importing it only to fork moved
+that cost into the suites that fork.  Forking is safe because the package
+starts no thread.  A report's verdicts are read from its instance records,
+and a suite with a cost budget keeps a skip record in place of each
+instance priced above it.
 """
 
 from __future__ import annotations
 
 import os
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from math import factorial
 
 from .coefficients import f_coefficient, is_schur_positive, schur_expansion, xi
@@ -36,6 +44,7 @@ from .graphs import (
     with_disjoint_path,
 )
 from .partitions import partitions_of, strip_trailing_ones
+from .records import Record
 from .tabloids import head_class_sums, pendant_tail_counts
 
 # Nominal per-instance cost classes, keyed by vertex count, used to gate
@@ -52,7 +61,7 @@ COEFFICIENT_COST_MS = {9: 1_000, 10: 3_000, 11: 10_000, 12: 30_000, 13: 120_000}
 ENUMERATION_COST_MS = {11: 1_000, 12: 2_000, 13: 5_000, 14: 10_000, 15: 30_000, 16: 80_000}
 DEFAULT_BUDGET_MS = 30_000
 
-# how many contiguous chunks of instances each pool worker takes, about
+# how many contiguous chunks of instances each worker is dealt, about
 CHUNKS_PER_WORKER = 4
 
 
@@ -66,14 +75,17 @@ def nominal_cost_ms(n_vertices: int, kind: str = "coefficient") -> int:
     return COEFFICIENT_COST_MS.get(n_vertices, 10_000_000)
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Structured outcome of one suite; its verdicts are read from the
     instance records."""
 
-    statement_id: str
-    instances: list
-    wall_time_ms: int
+    __slots__ = _fields = ("statement_id", "instances", "wall_time_ms")
+    __hash__ = None
+
+    def __init__(self, statement_id: str, instances: list, wall_time_ms: int):
+        self.statement_id = statement_id
+        self.instances = instances
+        self.wall_time_ms = wall_time_ms
 
     @property
     def instances_checked(self) -> int:
@@ -118,17 +130,87 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _dealt_chunks(count: int, workers: int) -> list[list[range]]:
+    """Cut ``range(count)`` into contiguous chunks, about ``CHUNKS_PER_WORKER``
+    per worker, and deal them round-robin: worker w takes chunks w,
+    w + workers, w + 2 * workers, ..."""
+    size = -(-count // (CHUNKS_PER_WORKER * workers))
+    chunks = [range(start, min(start + size, count)) for start in range(0, count, size)]
+    return [chunks[w::workers] for w in range(workers)]
+
+
+def _answer(fn, params: list, indices: list, write_fd: int):
+    """In a forked worker: pickle ``fn`` over the instances at ``indices``, or
+    the exception it raised with its traceback, down ``write_fd``, and leave
+    without running any of the parent's cleanup."""
+    status = 1
+    try:
+        import pickle
+
+        try:
+            answer = (True, [fn(params[i]) for i in indices], None)
+        except Exception as exc:
+            import traceback
+
+            answer = (False, exc, traceback.format_exc())
+        with os.fdopen(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(answer))
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def _map_instances(fn, params: list, jobs: int) -> list:
-    # the pool forks all its workers at the first submit, so never ask for
-    # more than there are instances or CPUs this process may run on
+    # never fork more workers than there are instances or CPUs this process
+    # may run on
     workers = min(jobs, len(params), _usable_cpus())
-    if workers > 1:
-        # one round trip per chunk rather than per instance; four chunks per
-        # worker still let a worker that finishes early take more
-        chunksize = -(-len(params) // (CHUNKS_PER_WORKER * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, params, chunksize=chunksize))
-    return [fn(p) for p in params]
+    if workers < 2 or not hasattr(os, "fork"):
+        return [fn(p) for p in params]
+    import pickle  # only a call that forks pays for it
+
+    # a worker must not write out what the parent had buffered
+    sys.stdout.flush()
+    sys.stderr.flush()
+    results = [None] * len(params)
+    children = []  # (pid, read end of its pipe, its instance indices), until reaped
+    try:
+        for chunks in _dealt_chunks(len(params), workers):
+            indices = [i for chunk in chunks for i in chunk]
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _answer(fn, params, indices, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb"), indices))
+        while children:
+            pid, pipe, indices = children[0]
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            try:
+                ok, payload, remote = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):
+                code = os.waitstatus_to_exitcode(status)
+                raise RuntimeError(f"suite worker {pid} exited with status {code} without answering") from None
+            if not ok:
+                raise payload from RuntimeError(f"in suite worker {pid}:\n{remote}")
+            for i, value in zip(indices, payload):
+                results[i] = value
+    finally:
+        if children:
+            import signal
+
+            for pid, pipe, _ in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return results
 
 
 def _map_within_budget(fn, priced: list, jobs: int, budget_ms: int) -> list:

@@ -1,6 +1,9 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -231,7 +234,6 @@ def test_singleton_removal_exit_zero(capsys):
     assert code == 0 and out.startswith("singleton-removal: PASS")
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_all_runs_every_suite(capsys, monkeypatch, jobs):
     # the pooled suites give the same bytes as the serial ones; two workers
@@ -277,6 +279,19 @@ def test_expand_json_digests(capsys):
 def test_seed_option_removed(capsys):
     with pytest.raises(SystemExit):
         main(["--seed", "17", "net-rec", "--n-max", "1"])
+
+
+def test_cli_import_loads_no_executor_or_dataclasses():
+    # start-up pays neither for a process pool, which only --jobs above 1
+    # needs, nor for dataclasses and the inspect module it imports; -S keeps
+    # site-installed path hooks out of the count
+    import chromatic_schur
+
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+    code = f"import sys, chromatic_schur.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chromatic_schur.__file__))}
+    run = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_settable_option_count_is_pinned():

@@ -1,7 +1,7 @@
 """Wider sweeps of the module invariants, beyond the acceptance bounds.
 
-These take tens of seconds in total; deselect with ``pytest -m "not slow"``
-for a quick loop.
+The census-wide method agreement is the one marked ``slow``; deselect it
+with ``pytest -m "not slow"`` for a quick loop.
 """
 
 import random
@@ -26,11 +26,10 @@ from chromatic_schur.tabloids import pendant_tail_counts
 from chromatic_schur.verify import run_singleton_removal_suite, run_spider_recurrence_suite
 from graph_helpers import random_graph
 
-pytestmark = pytest.mark.slow
-
 SEED = 20260810
 
 
+@pytest.mark.slow
 def test_method_agreement_six_vertex_census_and_seven_vertex_samples():
     graphs = connected_graphs(6)
     rng = random.Random(SEED)

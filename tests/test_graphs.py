@@ -212,6 +212,7 @@ def test_least_edge_mask_matches_every_relabeling():
         assert least_edge_mask(adjacency_masks(shuffled)) == expected, shuffled
 
 
+@pytest.mark.slow
 def test_connected_graph_census_on_seven_vertices():
     # OEIS A001349; the digest pins the list and its order as the search over
     # every relabeling gave them

@@ -66,6 +66,7 @@ def test_kostka_matches_ssyt_backtracking_through_degree_8():
         assert 0 not in table.values()
 
 
+@pytest.mark.slow
 def test_kostka_times_signed_rim_hook_tabloids_is_identity():
     # the oracle's Kostka matrix and the grouped route's inverse Kostka
     # matrix (signed special rim hook tabloids by content type) are inverse
@@ -213,3 +214,43 @@ def test_vector_drops_zeros_and_checks_degree():
     assert CoefficientVector(SCHUR, {(2,): 0}).coeffs == {}
     with pytest.raises(ValueError):
         CoefficientVector(SCHUR, {(2,): 1, (1, 1, 1): 1})
+
+
+def test_value_records_compare_by_fields_and_stay_read_only():
+    import pickle
+
+    from chromatic_schur.tabloids import RimHook, TabloidPart
+    from chromatic_schur.verify import VerificationReport
+
+    vec = CoefficientVector(SCHUR, {(2, 1): 1, (1, 1, 1): 0})
+    assert vec == CoefficientVector(SCHUR, {(2, 1): 1}) != CoefficientVector(MONOMIAL, {(2, 1): 1})
+    assert vec != ("schur", {(2, 1): 1})
+    assert repr(vec) == "CoefficientVector(basis='schur', coeffs={(2, 1): 1})"
+    assert CoefficientVector(SCHUR).coeffs == {}
+    with pytest.raises(TypeError):
+        hash(vec)  # its coefficients are a dict
+    hook = RimHook(((2, 1), (1, 1), (1, 2)))
+    assert (hook.length, hook.north_steps) == (3, 1)
+    assert hook == RimHook(hook.cells) and hash(hook) == hash(RimHook(hook.cells))
+    assert repr(hook) == "RimHook(cells=((2, 1), (1, 1), (1, 2)))"
+    with pytest.raises(ValueError):
+        RimHook(((1, 2),))
+    part = TabloidPart((2,), ((((1, 1), (1, 2)), (1, 2)),))
+    assert len({part, TabloidPart((2,), part.fragments)}) == 1
+    assert part != TabloidPart((2,), ())
+    for value in (vec, hook, part):
+        assert pickle.loads(pickle.dumps(value)) == value
+        for name in value._fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+    with pytest.raises(AttributeError):
+        hook.length = 1
+    # a report is built once per suite but stays a plain mutable record
+    report = VerificationReport("net-recurrence", [], 0)
+    assert report == VerificationReport("net-recurrence", [], 0) != VerificationReport("f-table", [], 0)
+    report.wall_time_ms = 5
+    assert report.wall_time_ms == 5
+    with pytest.raises(TypeError):
+        hash(report)

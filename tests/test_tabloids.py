@@ -268,6 +268,7 @@ def _half_density_graphs(seed):
     return out
 
 
+@pytest.mark.slow
 def test_signed_g_tabloid_counts_equal_the_grouped_route():
     from chromatic_schur.coefficients import GROUPED, schur_expansion
     from chromatic_schur.graphs import LabeledGraph, generalized_spider, path_graph
@@ -470,6 +471,7 @@ def test_head_tail_statistics_check_their_shapes():
         head_class_sums((1, 1, 1), net, pendants, body)
 
 
+@pytest.mark.slow
 def test_head_class_sums_match_the_stream():
     import json
     import random

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -202,8 +203,7 @@ def test_report_contract():
 
 def test_parallel_jobs_identical(monkeypatch):
     # two workers even on a one-CPU host; each suite maps at least
-    # 2 * CHUNKS_PER_WORKER instances, so the pool hands out more chunks
-    # than it has workers
+    # 2 * CHUNKS_PER_WORKER instances, so each worker is dealt several chunks
     monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
     for run, size in (
         (run_net_recurrence_suite, 3),
@@ -226,12 +226,12 @@ def test_recurrence_sweep_builds_no_monomial_vector(monkeypatch):
     from chromatic_schur.coeffvec import CoefficientVector
 
     built = 0
-    post_init = CoefficientVector.__post_init__
+    init = CoefficientVector.__init__
 
-    def counted(self):
+    def counted(self, *args, **kwargs):
         nonlocal built
         built += 1
-        post_init(self)
+        init(self, *args, **kwargs)
 
     keys = []
     cached = graphs._types_for
@@ -240,7 +240,7 @@ def test_recurrence_sweep_builds_no_monomial_vector(monkeypatch):
         keys.append(key)
         return cached(key)
 
-    monkeypatch.setattr(CoefficientVector, "__post_init__", counted)
+    monkeypatch.setattr(CoefficientVector, "__init__", counted)
     monkeypatch.setattr(graphs, "_types_for", recorded)
     cached.cache_clear()
     report = run_net_recurrence_suite(4, jobs=1)
@@ -280,63 +280,116 @@ def test_recurrence_sweep_checks_each_partition_once(monkeypatch):
     assert checks == defined_calls
 
 
+def _recorded_forks(monkeypatch) -> list:
+    """Fork as usual, recording each worker's pid."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def _assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
-    requested = []
+    dealt = []
+    deal = verify._dealt_chunks
 
-    class InProcessPool:
-        # records the pool size and maps in-process, so no worker starts
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-            self.workers = max_workers
+    def recorded(count, workers):
+        per_worker = deal(count, workers)
+        chunks = sorted((c for mine in per_worker for c in mine), key=lambda c: c.start)
+        # about four contiguous chunks per worker, and never one per instance
+        # once there are more than four per worker
+        assert min(count, 2 * workers) <= len(chunks) <= CHUNKS_PER_WORKER * workers
+        assert [i for c in chunks for i in c] == list(range(count))
+        # dealt round-robin, so a rising-cost sweep spreads over every worker
+        assert all(mine == chunks[w::workers] for w, mine in enumerate(per_worker))
+        dealt.append(workers)
+        return per_worker
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, params, chunksize=1):
-            params = list(params)
-            chunks = [params[i : i + chunksize] for i in range(0, len(params), chunksize)]
-            # about four contiguous chunks per worker, and never one per instance
-            # once there are more than four per worker
-            assert min(len(params), 2 * self.workers) <= len(chunks) <= CHUNKS_PER_WORKER * self.workers
-            # results come chunk by chunk, so the callers' equality checks
-            # below see whether the chunks cover every instance in order
-            return (fn(p) for chunk in chunks for p in chunk)
-
-    monkeypatch.setattr("chromatic_schur.verify.ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(verify, "_dealt_chunks", recorded)
+    forks = _recorded_forks(monkeypatch)
     sequential = run_net_recurrence_suite(2, jobs=1)
     bounded = run_net_recurrence_suite(2, jobs=10_000)
-    assert all(w <= verify._usable_cpus() and w <= len(bounded.instances) for w in requested)
+    assert all(w <= verify._usable_cpus() and w <= len(bounded.instances) for w in dealt)
+    assert len(forks) == sum(dealt)
     assert bounded.instances == sequential.instances
-    # open-coeffs hands its instances to the pool too, with its budget skips
-    # (two of the three n = 4 instances at 600 ms) kept in place
+    # open-coeffs hands its instances to the workers too, with its budget
+    # skips (two of the three n = 4 instances at 600 ms) kept in place
     monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
-    requested.clear()
+    dealt.clear()
     pooled = run_open_coefficient_report(4, jobs=2, budget_ms=600)
-    assert requested == [2]
+    assert dealt == [2]
     assert pooled.instances == run_open_coefficient_report(4, jobs=1, budget_ms=600).instances
     assert [i["status"] for i in pooled.instances] == ["report"] * 3 + ["skip", "skip", "report"]
     # 59 instances over two workers go out as eight chunks of up to eight
-    requested.clear()
+    dealt.clear()
     chunked = run_net_recurrence_suite(4, jobs=2)
-    assert requested == [2]
+    assert dealt == [2]
     assert chunked.instances == run_net_recurrence_suite(4, jobs=1).instances
+    _assert_reaped(forks)
 
 
 def test_jobs_capped_by_cpu_affinity(monkeypatch):
     # a process pinned to one CPU runs --jobs 2 serially, with the same report
-    def no_pool(max_workers):
-        raise AssertionError("a pool was started")
+    def no_fork():
+        raise AssertionError("a worker was forked")
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr("chromatic_schur.verify.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "fork", no_fork)
     assert verify._usable_cpus() == 1
     pinned = run_net_recurrence_suite(4, jobs=2)
     monkeypatch.undo()
     assert pinned.to_json_dict() == run_net_recurrence_suite(4, jobs=1).to_json_dict()
+
+
+def _fails_at_zero(x):
+    if x == 0:
+        raise ValueError("no instance 0")
+    return x
+
+
+def _dies_at_zero(x):
+    if x == 0:
+        os._exit(3)
+    return x
+
+
+def _hangs_after_zero(x):
+    if x > 0:
+        time.sleep(60)
+    return x
+
+
+@pytest.mark.parametrize(
+    "fn, error, match",
+    [
+        (_fails_at_zero, ValueError, "no instance 0"),
+        (_dies_at_zero, RuntimeError, "exited with status 3 without answering"),
+    ],
+)
+def test_worker_failure_reaches_the_caller(monkeypatch, fn, error, match):
+    # the first worker fails at once; the other is still sleeping, so it is
+    # killed and reaped rather than waited for
+    monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
+    forks = _recorded_forks(monkeypatch)
+    started = time.monotonic()
+    with pytest.raises(error, match=match):
+        verify._map_instances(lambda x: _hangs_after_zero(fn(x)), [0, 1], jobs=2)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 2
+    _assert_reaped(forks)
 
 
 def test_suite_argument_validation():
