@@ -3,14 +3,14 @@
 Coefficients are computed three ways that must agree: signed rim hook
 tabloid sums, and the monomial expansion (stable-partition counts) taken to
 the Schur basis either by signed rim hook tabloids or by Kostka
-back-substitution.  All three read stable sets from the one table of
-``graphs.stable_sets``.  The two rim hook routes peel with one arithmetic
-peel, ``tabloids.bottom_hooks``, and the monomial counts and the signed
-content tables share one partition numbering,
-``partitions.partition_table``.  The only per-graph result kept between
-calls is the monomial expansion's read-only counts, which the last two
-share; no tabloid memo outlives its call.  Batch suites verify the recurrences and
-positivity statements these coefficients satisfy.
+back-substitution.  The last two share the monomial expansion, one
+inclusion-exclusion count over vertex subsets, and its read-only counts are
+the only per-graph result kept between calls; the first alone reads stable
+sets, from ``graphs.stable_sets``.  The two rim hook routes share one
+arithmetic peel, ``tabloids.bottom_hooks``, and the counts and signed content
+tables one partition numbering, ``partitions.partition_table``.  No tabloid
+memo outlives its call.  Batch suites verify the recurrences and positivity
+statements these coefficients satisfy.
 """
 
 from .coeffvec import MONOMIAL, SCHUR, CoefficientVector

@@ -8,20 +8,20 @@
 ``oracle``   applies the inverse by back-substitution through Kostka numbers.
 
 All three must agree on every input; the test suite enforces this.  They are
-not wholly independent.  All three read stable sets from the one table of
-``graphs.stable_sets``, which the tests check against the bitmask
-enumerator, and that against brute force.  The grouped and tabloid routes
-peel rim hooks with the one arithmetic peel, ``tabloids.bottom_hooks``,
-whose hooks the head/tail statistics of the verification suites walk with
-their cells; the tests check the two against each other and the cells
-against a brute-force tiler.  Grouped and oracle also share the monomial
-expansion, which comes from one type DP in ``graphs``.  Its semi-ordered
-counts, the monomial coefficients, kept read-only per graph and keyed by
-the partition ids of ``partitions.partition_table``, are the only cache
-keyed by graph.  The grouped route dots them, id against id, with the
-signed content table of the shape, keyed by the same ids, and builds no
-``CoefficientVector`` or ``RimHook``.  Every tabloid memo lives for one
-call.  The principal-specialization tests share no code with any route.
+not wholly independent.  Grouped and oracle share the monomial expansion,
+one inclusion-exclusion count in ``graphs`` that reads only
+``graphs.adjacency_masks``; its semi-ordered counts, read-only per graph and
+keyed by the partition ids of ``partitions.partition_table``, are the only
+cache keyed by graph.  The tabloid route alone reads stable sets, from the
+table of ``graphs.stable_sets``, which the tests check against the bitmask
+enumerator, and that against brute force.  Grouped and tabloid peel rim
+hooks with one arithmetic peel, ``tabloids.bottom_hooks``, whose hooks the
+suites' head/tail statistics walk with their cells; the tests check the two
+against each other and the cells against a brute-force tiler.  The grouped
+route dots the counts, id against id, with the shape's signed content table
+and builds no ``CoefficientVector`` or ``RimHook``.  Every tabloid memo lives
+for one call.  The principal-specialization tests share no code with any
+route.
 """
 
 from __future__ import annotations

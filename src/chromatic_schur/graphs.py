@@ -6,19 +6,11 @@ connected-graph census.  Graphs are immutable after construction and safe
 to share across workers.
 
 Vertex sets in the enumerators are int bitmasks, bit ``v - 1`` for vertex
-``v``.  ``stable_sets`` is the one source of stable sets in the package:
-every route and peel reads the table it builds from ``stable_masks``.  The
-semi-ordered counts of ``semi_ordered_counts_by_id``, the monomial
-coefficients keyed by the partition ids of ``partitions.partition_table``,
-are the only result kept per graph; ``semi_ordered_partition_types`` and
-``count_semi_ordered_stable_partitions`` read them keyed by partition.
-
-The type DP alone runs on a relabelled copy of the graph, its vertices
-ordered by descending degree with ties broken by label; the counts do not
-depend on labels.  Its states count partitions by id, and insert a part
-through the insertion rows of the same table, which the signed content
-tables of the grouped route share.  The rim hook peels and the head/tail
-statistics keep the graph's own labels.
+``v``.  The only result kept per graph is the semi-ordered counts of
+``semi_ordered_counts_by_id``, the monomial coefficients by partition id:
+one inclusion-exclusion count, which reads only ``adjacency_masks``.  The
+table of ``stable_sets`` is read by the tabloid route and the head/tail
+statistics alone.
 """
 
 from __future__ import annotations
@@ -26,7 +18,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from math import factorial, prod
+from operator import mul
 from types import MappingProxyType
 
 from .partitions import UNDEFINED, check_partition, partition_table
@@ -49,6 +41,11 @@ NET_LABELINGS = (PENDANT_FIRST, PENDANT_LAST)
 
 # how many graphs, by graph.key(), each per-graph cache keeps
 GRAPH_CACHE_SIZE = 256
+
+# the most vertices of a stable-partition type count, one 8-byte slot per
+# vertex subset; at 24 vertices on a 2-vCPU host, GN(12,12) took 6.1 s at
+# 143 MB peak RSS, a random graph (edge probability 0.3) 28 s at 447 MB
+MAX_TYPE_VERTICES = 24
 
 
 class LabeledGraph:
@@ -298,10 +295,9 @@ def stable_sets(graph) -> tuple[tuple[int, ...], ...]:
     """The stable-set table of ``graph``: entry ``k`` holds every stable
     ``k``-set of the whole vertex set, in ``stable_masks`` order.
 
-    A DP state keeps the sets that fit its remaining bitmask.  A filtered
-    slice of a lexicographically ordered list keeps that order, so the sets
-    come as ``stable_masks`` on the remaining bitmask would give them,
-    without a walk per state.  Built by n + 1 walks and not cached.
+    A DP state keeps the sets that fit its remaining bitmask, in the order
+    ``stable_masks`` on that bitmask gives, with no walk per state.  Built
+    by n + 1 walks and not cached.
     """
     adj = adjacency_masks(graph)
     full = (1 << graph.n) - 1
@@ -310,12 +306,9 @@ def stable_sets(graph) -> tuple[tuple[int, ...], ...]:
 
 def semi_ordered_partition_types(graph):
     """Number of partitions of the vertex set into stable parts of each type
-    ``mu``, where parts of equal size additionally carry an order; types with
-    none are absent.  These are the monomial coefficients of the chromatic
-    symmetric function.
-
-    The counts of ``semi_ordered_counts_by_id``, read-only and keyed by
-    partition tuples; this view is built per call.
+    ``mu``, parts of equal size ordered, types with none absent: the
+    monomial coefficients of the chromatic symmetric function.  A read-only
+    view of ``semi_ordered_counts_by_id`` keyed by partition, built per call.
     """
     parts = partition_table(graph.n).parts
     return MappingProxyType({parts[i]: c for i, c in semi_ordered_counts_by_id(graph).items()})
@@ -324,60 +317,73 @@ def semi_ordered_partition_types(graph):
 def semi_ordered_counts_by_id(graph) -> MappingProxyType:
     """The counts of ``semi_ordered_partition_types`` keyed by the ids of
     ``partitions.partition_table``, read-only; the only result kept per
-    ``graph.key()``.
-
-    One subset DP yields every type at once.  It is memoized on the
-    remaining-vertex bitmask, and the lowest remaining vertex always opens
-    the next part, so each unordered partition is seen exactly once.  The DP
-    runs on the vertices relabelled by descending degree, ties by label: a
-    lowest vertex of high degree opens few parts, so fewer remaining sets
-    are reached (1 920 rather than 6 177 on GN(8,8)).  A state's counts are
-    keyed by partition id.  It first sums the counts of the rests left by
-    every opening set of one size, then inserts that part once through the
-    table's insertion row.  Each unordered count is then multiplied by the
-    factorials of its size multiplicities.
+    ``graph.key()``.  By inclusion-exclusion over vertex subsets (Bjorklund,
+    Husfeldt and Koivisto 2009), s_k(X) being the stable k-sets of X:
+    count(mu) = sum over X of (-1)^(n - |X|) prod_j s_{mu_j}(X), as the
+    tuples of stable sets of sizes mu that cover all n vertices are the
+    partitions, equal-size parts ordered.  Raises ``ValueError`` above
+    ``MAX_TYPE_VERTICES`` vertices, before anything is built.
     """
+    if graph.n > MAX_TYPE_VERTICES:
+        raise ValueError(f"{graph.n} vertices exceed the cap of {MAX_TYPE_VERTICES} on stable-partition types")
     return _types_for(graph.key())
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _types_for(key) -> MappingProxyType:
     n, edges = key
-    # only this DP relabels: descending degree, ties by label
-    degree = Counter(itertools.chain.from_iterable(edges))
-    order = sorted(range(1, n + 1), key=lambda v: (-degree[v], v))
-    rank = {v: i for i, v in enumerate(order, 1)}
-    graph = LabeledGraph(n, [(rank[u], rank[v]) for u, v in edges])
-    # opening[v]: (size, the stable sets of that size whose lowest vertex is
-    # v), sizes increasing and each list in table order
-    opening = [{} for _ in range(n + 1)]
-    for size, groups in enumerate(stable_sets(graph)[1:], 1):
-        for group in groups:
-            opening[(group & -group).bit_length()].setdefault(size, []).append(group)
-    opening = [tuple(by_size.items()) for by_size in opening]
-    parts, _, insert = partition_table(n)
-    types = _types_of_remaining(opening, insert, (1 << n) - 1, {0: {0: 1}})
-    return MappingProxyType({i: c * multiplicity_factorials(parts[i]) for i, c in types.items()})
+    if not n:
+        return MappingProxyType({0: 1})
+    # Part sizes are chosen from the largest stable set down, depth first,
+    # one column per distinct polynomial: its subsets' signed weight times
+    # the s_j of the parts chosen.  Past size k only the coefficients below
+    # k are read, so columns are cut to them and equal cuts summed.
+    width, field = n + 1, (1 << n + 1) - 1
+    weights = Counter(_independence_polynomials(n, edges))
+    columns, levels = list(weights), []
+    for k in range((max(columns).bit_length() - 1) // width, 0, -1):
+        cuts = {}
+        index = [cuts.setdefault(p & (1 << k * width) - 1, len(cuts)) for p in columns]
+        levels.append((k, [p >> k * width & field for p in columns], index, len(cuts)))
+        columns = list(cuts)
+    ids, counts = partition_table(n).ids, {}
+
+    def choose(product, mu, left, depth):
+        # append parts of size k to mu, handing each product to the sizes below
+        k, stable, index, size = levels[depth]
+        while True:
+            if depth + 1 < len(levels):
+                cut = [0] * size
+                for i, value in zip(index, product):
+                    cut[i] += value
+                choose(cut, mu, left, depth + 1)
+            if left < k:
+                return
+            product, left, mu = list(map(mul, product, stable)), left - k, mu + (k,)
+            if not left:
+                if c := sum(product):
+                    counts[ids[mu]] = c
+                return
+
+    choose([c if (n - (p >> width & field)) % 2 == 0 else -c for p, c in weights.items()], (), n, 0)
+    return MappingProxyType(counts)
 
 
-def _types_of_remaining(opening, insert, remaining: int, memo: dict) -> dict:
-    out = memo.get(remaining)
-    if out is not None:
-        return out
-    out = {}
-    outside = ~remaining
-    for size, groups in opening[(remaining & -remaining).bit_length()]:
-        summed = {}
-        for group in groups:
-            if not group & outside:
-                for i, c in _types_of_remaining(opening, insert, remaining ^ group, memo).items():
-                    summed[i] = summed.get(i, 0) + c
-        with_part = insert[size]
-        for i, c in summed.items():
-            j = with_part[i]
-            out[j] = out.get(j, 0) + c
-    memo[remaining] = out
-    return out
+def _independence_polynomials(n: int, edges) -> list[int]:
+    """Entry X: the independence polynomial of the subgraph on bitmask X,
+    coefficient k in bits k * (n + 1) up (s_k(X) < 2^n), by I(X) = I(X - v)
+    + x I(X - N[v]), v highest in X, in slices of 2^14; equal ones interned."""
+    adj = adjacency_masks(LabeledGraph(n, edges))
+    polys = [1] * (1 << n)
+    seen = {}
+    for v in range(1, n + 1):
+        top, keep = 1 << (v - 1), ~adj[v]
+        for low in range(0, top, 1 << 14):
+            high = min(low + (1 << 14), top)
+            polys[top + low : top + high] = [
+                seen.setdefault(p, p) for p in (polys[x] + (polys[x & keep] << n + 1) for x in range(low, high))
+            ]
+    return polys
 
 
 def count_semi_ordered_stable_partitions(graph, mu) -> int:
@@ -391,12 +397,6 @@ def count_semi_ordered_stable_partitions(graph, mu) -> int:
     if sum(mu) != graph.n:
         raise ValueError("partition size must equal the vertex count")
     return semi_ordered_counts_by_id(graph).get(partition_table(graph.n).ids[mu], 0)
-
-
-def multiplicity_factorials(mu) -> int:
-    """The product of the factorials of the part multiplicities of ``mu``:
-    the number of ways to order the parts of each size among themselves."""
-    return prod(factorial(r) for r in Counter(mu).values())
 
 
 def least_edge_mask(adj) -> int:

@@ -6,7 +6,9 @@ against."""
 
 import itertools
 import random
+from collections import Counter
 from functools import lru_cache
+from math import factorial, prod
 
 from chromatic_schur.graphs import (
     ANCHOR,
@@ -15,7 +17,6 @@ from chromatic_schur.graphs import (
     SPECIAL_ANCHOR,
     SPECIAL_PENDANT,
     LabeledGraph,
-    multiplicity_factorials,
     semi_ordered_partition_types,
 )
 
@@ -96,6 +97,12 @@ def brute_force_connected_graphs(n: int) -> list[LabeledGraph]:
         if is_connected(graph):
             reps.setdefault(least_edge_mask_by_relabeling(graph), graph)
     return [reps[c] for c in sorted(reps)]
+
+
+def multiplicity_factorials(mu) -> int:
+    """The product of the factorials of the part multiplicities of ``mu``:
+    the number of ways to order the parts of each size among themselves."""
+    return prod(factorial(r) for r in Counter(mu).values())
 
 
 def stable_partition_types(graph) -> dict:

@@ -83,6 +83,16 @@ def test_expand_invalid_graph_exit_2(capsys):
     assert code == 2 and "not properly defined" in err
 
 
+def test_expand_oversized_graph_exit_2(capsys):
+    # 28 vertices are past the cap of the stable-partition type count, which
+    # refuses before it allocates its table of vertex subsets
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", "--graph", "GN(14,14)")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert "28 vertices exceed the cap of 24" in err
+
+
 def test_f_table_text(capsys):
     code, out, _ = run_cli(capsys, "f-table", "--bound", "4")
     assert code == 0

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from chromatic_schur.graphs import (
     least_edge_mask,
     mask_labels,
     path_graph,
+    semi_ordered_partition_types,
     stable_masks,
     star_graph,
     vertex_mask,
@@ -259,8 +261,6 @@ def test_stable_partition_counts():
 
 def test_stable_partition_singletons_and_cliques():
     rng = random.Random(7)
-    from math import factorial
-
     for n in range(1, 6):
         g = random_graph(n, rng)
         assert count_semi_ordered_stable_partitions(g, (1,) * n) == factorial(n)
@@ -268,6 +268,16 @@ def test_stable_partition_singletons_and_cliques():
         for mu in partitions_of(n):
             if any(p >= 2 for p in mu):
                 assert count_semi_ordered_stable_partitions(complete_graph(n), mu) == 0
+
+
+def test_stable_partition_types_closed_forms():
+    # an edgeless graph: every set partition is stable, so the semi-ordered
+    # count of mu is the multinomial n! / prod mu_j!; a clique: singletons only
+    edgeless = semi_ordered_partition_types(LabeledGraph(16))
+    assert len(edgeless) == len(partitions_of(16)) == 231
+    for mu in partitions_of(16):
+        assert edgeless[mu] == factorial(16) // prod(map(factorial, mu)), mu
+    assert dict(semi_ordered_partition_types(complete_graph(14))) == {(1,) * 14: factorial(14)}
 
 
 def _brute_force_types(graph) -> dict:

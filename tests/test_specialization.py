@@ -129,11 +129,18 @@ def test_principal_specialization_at_the_frontier():
         assert hung_clique_chromatic_values(graph) == [
             sum(c * k**i for i, c in enumerate(chi)) for k in range(1, graph.n + 1)
         ]
-    # 16 and 17 vertices, past the reach of deletion-contraction
+    # 16, 17, 18 and 20 vertices, past the reach of deletion-contraction;
+    # a path is a tree, so chi = k(k-1)^(n-1)
     net = generalized_net(8, 8)
-    for graph in (net, generalized_spider(8, (2, 1, 1, 1, 1, 1, 1, 1))):
+    path = path_graph(18)
+    cases = [
+        (graph, hung_clique_chromatic_values(graph))
+        for graph in (net, generalized_spider(8, (2, 1, 1, 1, 1, 1, 1, 1)), generalized_net(10, 10))
+    ]
+    cases.append((path, [k * (k - 1) ** (path.n - 1) for k in range(1, path.n + 1)]))
+    for graph, chromatic_values in cases:
         expansion = schur_expansion(graph, GROUPED)
-        for k, expected in enumerate(hung_clique_chromatic_values(graph), 1):
+        for k, expected in enumerate(chromatic_values, 1):
             assert sum(c * ssyt_at_most(lam, k) for lam, c in expansion.items()) == expected, (graph, k)
         assert sum(c * standard_tableaux(lam) for lam, c in expansion.items()) == factorial(graph.n)
     assert schur_expansion(net, GROUPED).min_entry() >= 0

@@ -541,8 +541,9 @@ def test_stable_set_table_filtered_to_a_mask_is_the_enumeration():
 
 
 def test_peels_build_the_stable_set_table_once(monkeypatch):
-    """The rim hook peels and the stable-type DP read the table, so one call
-    walks stable sets at most once per set size, not once per memo state."""
+    """The rim hook peels read the table, so one call walks stable sets at
+    most once per set size, not once per memo state.  The stable-partition
+    type count reads only the adjacency masks, so it walks none."""
     import random
     import sys
 
@@ -569,8 +570,10 @@ def test_peels_build_the_stable_set_table_once(monkeypatch):
         lambda: schur_expansion(graph, "tabloid"),
         lambda: tabloids.pendant_tail_counts(lam, net, pendants),
         lambda: tabloids.head_class_sums(lam, net, pendants, body),
-        lambda: stable_partition_types(graph),
     ):
         calls = 0
         run()
         assert 0 < calls <= graph.n + 1
+    calls = 0
+    stable_partition_types(graph)
+    assert calls == 0

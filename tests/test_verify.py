@@ -221,7 +221,7 @@ def test_parallel_jobs_identical(monkeypatch):
 
 def test_recurrence_sweep_builds_no_monomial_vector(monkeypatch):
     """A sweep that asks one coefficient at a time reads the cached counts:
-    it builds no CoefficientVector and runs the type DP once per graph."""
+    it builds no CoefficientVector and runs the type count once per graph."""
     from chromatic_schur import graphs
     from chromatic_schur.coeffvec import CoefficientVector
 
