@@ -14,13 +14,13 @@ one inclusion-exclusion count in ``graphs`` that reads only
 keyed by the partition ids of ``partitions.partition_table``, are the only
 cache keyed by graph.  The tabloid route alone reads stable sets, from the
 table of ``graphs.stable_sets``, which the tests check against the bitmask
-enumerator, and that against brute force.  Grouped and tabloid peel rim
-hooks with one arithmetic peel, ``tabloids.bottom_hooks``, whose hooks the
-suites' head/tail statistics walk with their cells; the tests check the two
-against each other and the cells against a brute-force tiler.  The grouped
-route dots the counts, id against id, with the shape's signed content table
-and builds no ``CoefficientVector`` or ``RimHook``.  Every tabloid memo lives
-for one call.  The principal-specialization tests share no code with any
+enumerator, and that against brute force.  Grouped and tabloid, and the
+suites' head/tail statistics, peel rim hooks with one arithmetic peel,
+``tabloids.bottom_hooks``; the tests check it against a cell peel of their
+own, and that against a brute-force tiler.  The grouped route dots the
+counts, id against id, with the shape's signed content table and builds no
+``CoefficientVector`` and no hook cells.  Every tabloid memo lives for one
+call.  The principal-specialization tests share no code with any
 route.
 """
 
@@ -32,9 +32,8 @@ from .graphs import (
     LabeledGraph,
     generalized_net,
     semi_ordered_counts_by_id,
-    semi_ordered_partition_types,
 )
-from .partitions import UNDEFINED, check_partition, partitions_of
+from .partitions import UNDEFINED, check_partition, partition_table, partitions_of
 from .tableaux import monomial_to_schur
 from .tabloids import _content_table, signed_g_tabloid_counts
 
@@ -51,7 +50,8 @@ def chromatic_monomial_expansion(graph: LabeledGraph) -> CoefficientVector:
     type mu: each unordered stable partition contributes the full product of
     size-multiplicity factorials, which is the augmented-monomial expansion.
     """
-    return CoefficientVector(MONOMIAL, semi_ordered_partition_types(graph))
+    parts = partition_table(graph.n).parts
+    return CoefficientVector(MONOMIAL, {parts[i]: c for i, c in semi_ordered_counts_by_id(graph).items()})
 
 
 def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:

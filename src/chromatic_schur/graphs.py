@@ -304,23 +304,15 @@ def stable_sets(graph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(stable_masks(adj, full, k)) for k in range(graph.n + 1))
 
 
-def semi_ordered_partition_types(graph):
-    """Number of partitions of the vertex set into stable parts of each type
-    ``mu``, parts of equal size ordered, types with none absent: the
-    monomial coefficients of the chromatic symmetric function.  A read-only
-    view of ``semi_ordered_counts_by_id`` keyed by partition, built per call.
-    """
-    parts = partition_table(graph.n).parts
-    return MappingProxyType({parts[i]: c for i, c in semi_ordered_counts_by_id(graph).items()})
-
-
 def semi_ordered_counts_by_id(graph) -> MappingProxyType:
-    """The counts of ``semi_ordered_partition_types`` keyed by the ids of
-    ``partitions.partition_table``, read-only; the only result kept per
-    ``graph.key()``.  By inclusion-exclusion over vertex subsets (Bjorklund,
-    Husfeldt and Koivisto 2009), s_k(X) being the stable k-sets of X:
-    count(mu) = sum over X of (-1)^(n - |X|) prod_j s_{mu_j}(X), as the
-    tuples of stable sets of sizes mu that cover all n vertices are the
+    """The number of partitions of the vertex set into stable parts of each
+    type ``mu``, parts of equal size ordered, types with none absent: the
+    monomial coefficients of the chromatic symmetric function.  Keyed by the
+    ids of ``partitions.partition_table``, read-only; the only result kept
+    per ``graph.key()``.  By inclusion-exclusion over vertex subsets
+    (Bjorklund, Husfeldt and Koivisto 2009), with s_k(X) the stable k-sets
+    of X, count(mu) = sum over X of (-1)^(n - |X|) prod_j s_{mu_j}(X), as
+    the tuples of stable sets of sizes mu that cover all n vertices are the
     partitions, equal-size parts ordered.  Raises ``ValueError`` above
     ``MAX_TYPE_VERTICES`` vertices, before anything is built.
     """
@@ -390,8 +382,8 @@ def count_semi_ordered_stable_partitions(graph, mu) -> int:
     """Count partitions of the vertex set into stable parts of sizes ``mu``,
     where parts of equal size additionally carry an order.
 
-    This is the entry at ``mu`` of ``semi_ordered_partition_types``: the
-    unordered count times the factorials of the size multiplicities.
+    This is the entry at the id of ``mu`` of ``semi_ordered_counts_by_id``:
+    the unordered count times the factorials of the size multiplicities.
     """
     mu = check_partition(mu)
     if sum(mu) != graph.n:

@@ -9,12 +9,13 @@ of vertices, placed in increasing label order outward from the first column.
 Rows are indexed from the top starting at 1, columns from the left starting
 at 1, and cells keep their absolute coordinates as hooks are peeled away.
 
-Both rim hook routes peel with ``bottom_hooks``, which reads each hook's top
-row, length, sign and the diagram it leaves off the row lengths alone.  The
-grouped route's signed content tables are keyed by the partition ids of
+Every peel here, both rim hook routes and the head/tail statistics, goes
+through ``bottom_hooks``, which reads each hook's top row, length, sign and
+the diagram it leaves off the row lengths alone.  The grouped route's signed
+content tables are keyed by the partition ids of
 ``partitions.partition_table``, and the tabloid route numbers the
-subdiagrams it reaches.  Only the head/tail statistics, which place
-vertices in cells, build ``RimHook`` cells, by ``bottom_hook_choices``.
+subdiagrams it reaches.  Only the head fragments that ``head_class_sums``
+reports hold cells, built per call by ``_hook_cells``.
 """
 
 from __future__ import annotations
@@ -28,31 +29,10 @@ from .records import FrozenRecord
 
 Cell = tuple[int, int]
 
-
-class RimHook(FrozenRecord):
-    """A special rim hook by its cells, from the first column outward; equal
-    hooks have equal cells, and ``length`` and ``north_steps`` are set once
-    from them."""
-
-    __slots__ = ("cells", "length", "north_steps")
-    _fields = ("cells",)
-
-    def __init__(self, cells: tuple[Cell, ...]):
-        if not cells or cells[0][1] != 1:
-            raise ValueError("a special rim hook must start in the first column")
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "length", len(cells))
-        object.__setattr__(self, "north_steps", self.steps.count("N"))
-
-    @property
-    def steps(self) -> tuple[str, ...]:
-        return tuple(
-            "N" if r1 != r2 else "E"
-            for (r1, _), (r2, _) in zip(self.cells, self.cells[1:])
-        )
-
-    def to_json_dict(self) -> dict:
-        return {"cells": [list(c) for c in self.cells], "steps": list(self.steps)}
+# the most vertices of the tabloid route, whose DP reaches up to 2^n
+# remaining-vertex sets; on a 2-vCPU host GN(8,8) took 11.7 s at 52 MB peak
+# RSS and GN(9,9), 18 vertices, 88 s at 224 MB
+MAX_TABLOID_VERTICES = 18
 
 
 @lru_cache(maxsize=None)
@@ -79,41 +59,29 @@ def bottom_hooks(shape: Partition) -> tuple[tuple[int, int, int, Partition], ...
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def bottom_hook_choices(shape: Partition) -> tuple[tuple[RimHook, Partition], ...]:
-    """The hooks of ``bottom_hooks``, in the same order, as ``(RimHook,
-    reduced)`` with their cells, for the peels that place vertices in
-    cells."""
+def _hook_cells(shape: Partition, top: int) -> tuple[Cell, ...]:
+    """The cells of the bottom hook of ``shape`` reaching up to row ``top``,
+    from the first column outward: the whole bottom row, then columns
+    shape[r]..shape[r-1] of each row r above, up to ``top``."""
     k = len(shape)
-    out = []
-    for top, _, _, reduced in bottom_hooks(shape):
-        cells = [(k, c) for c in range(1, shape[k - 1] + 1)]
-        for r in range(k - 1, top - 1, -1):
-            cells.extend((r, c) for c in range(shape[r], shape[r - 1] + 1))
-        out.append((RimHook(tuple(cells)), reduced))
-    return tuple(out)
-
-
-def signed_content_table(shape) -> MappingProxyType:
-    """The signed count of the special rim hook tabloids of ``shape`` with
-    each sorted content, as a read-only ``{mu: count}`` without zeros.
-
-    These are the inverse Kostka numbers K^-1(mu, shape) (Egecioglu and
-    Remmel, 1990).  One peel builds the table: each bottom hook's sign times
-    the table of the diagram it leaves, with the hook's length inserted into
-    every content.  The tables are kept per shape for the life of the
-    process, keyed by the ids of ``partitions.partition_table``, and an
-    insertion is one lookup in its row for the hook length; this view
-    keyed by partitions is built per call.
-    """
-    shape = check_partition(shape)
-    parts = partition_table(sum(shape)).parts
-    return MappingProxyType({parts[i]: c for i, c in _content_table(shape).items()})
+    cells = [(k, c) for c in range(1, shape[k - 1] + 1)]
+    for r in range(k - 1, top - 1, -1):
+        cells.extend((r, c) for c in range(shape[r], shape[r - 1] + 1))
+    return tuple(cells)
 
 
 @lru_cache(maxsize=None)
 def _content_table(shape: Partition) -> MappingProxyType:
-    # {mu id: K^-1(mu, shape)} without zeros
+    """The signed count of the special rim hook tabloids of ``shape`` with
+    each sorted content, as a read-only ``{mu id: count}`` without zeros,
+    keyed by the ids of ``partitions.partition_table``.
+
+    These are the inverse Kostka numbers K^-1(mu, shape) (Egecioglu and
+    Remmel, 1990).  One peel builds the table: each bottom hook's sign times
+    the table of the diagram it leaves, with the hook's length inserted into
+    every content, one lookup in the insertion row for that length.  The
+    tables are kept per shape for the life of the process.
+    """
     if not shape:
         return MappingProxyType({0: 1})
     insert = partition_table(sum(shape)).insert
@@ -165,8 +133,11 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     first sums the rests' counts over the sets of ``stable_sets(graph)`` of
     that length that fit; each subdiagram then reads its bottom hooks from
     those sums, with their signs.  The hook plan and the memo are built
-    afresh by each call and dropped when it returns.
+    afresh by each call and dropped when it returns.  Raises ``ValueError``
+    above ``MAX_TABLOID_VERTICES`` vertices, before anything is built.
     """
+    if graph.n > MAX_TABLOID_VERTICES:
+        raise ValueError(f"{graph.n} vertices exceed the cap of {MAX_TABLOID_VERTICES} on the tabloid route")
     shapes = tuple(dict.fromkeys(map(check_partition, shapes)))
     if any(sum(shape) != graph.n for shape in shapes):
         raise ValueError("partition size must equal the vertex count")
@@ -248,6 +219,13 @@ def _head_rows(shape: Partition) -> int:
     return sum(1 for p in shape if p > 1)
 
 
+def _tail_cells(current: Partition, top: int, h: int) -> int:
+    """The tail cells of the bottom hook of ``current`` reaching up to row
+    ``top``, below the ``h`` head rows: one per row of the hook below row
+    ``h``, as every tail row is one cell wide."""
+    return max(0, len(current) - max(top - 1, h))
+
+
 def _low_bits(group: int, j: int) -> int:
     """The ``j`` lowest set bits of ``group``."""
     low = 0
@@ -283,9 +261,9 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
         if cached is not None:
             return cached
         total = only_pendants = 0
-        for hook, reduced in bottom_hook_choices(current):
-            j = sum(1 for r, _ in hook.cells if r > h)
-            for group in stable[hook.length]:
+        for top, length, _, reduced in bottom_hooks(current):
+            j = _tail_cells(current, top, h)
+            for group in stable[length]:
                 if group & ~rem:
                     continue
                 a, b = count(reduced, rem ^ group)
@@ -318,7 +296,8 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
     hooks below it add nothing to the head part: their prefixes meet in few
     states.  Once the tail is placed, the head rows left are filled in every
     way from a memo on (subdiagram, remaining bitmask), and each filling
-    completes the head key.
+    completes the head key.  A hook's cells are built only where it puts
+    cells in the head, once per (subdiagram, top row) per call.
     """
     shape = check_partition(shape)
     if shape[-2:] != (1, 1):
@@ -331,6 +310,7 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
     pend = vertex_mask(pendants)
     bod = vertex_mask(body)
     full = (1 << graph.n) - 1
+    hook_cells = lru_cache(maxsize=None)(_hook_cells)
 
     def step(status, group, length, j, rem):
         # the status after a hook that puts ``group`` in the diagram with
@@ -358,12 +338,12 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
         if cached is not None:
             return cached
         out = []
-        for hook, reduced in bottom_hook_choices(current):
-            sign = -1 if hook.north_steps & 1 else 1
-            for group in stable[hook.length]:
+        for top, length, sign, reduced in bottom_hooks(current):
+            cells = hook_cells(current, top)
+            for group in stable[length]:
                 if group & ~rem:
                     continue
-                frag = (hook.cells, mask_labels(group))
+                frag = (cells, mask_labels(group))
                 out += [((frag,) + rest, sign * s) for rest, s in heads(reduced, rem ^ group)]
         head_memo[key] = out
         return out
@@ -384,17 +364,17 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
                     acc[1] += selected
                     acc[2] += total
                 continue
-            for hook, reduced in bottom_hook_choices(current):
-                sign = -1 if hook.north_steps & 1 else 1
-                j = sum(1 for r, _ in hook.cells if r > h)
-                for group in stable[hook.length]:
+            for top, length, sign, reduced in bottom_hooks(current):
+                j = _tail_cells(current, top, h)
+                head_cells = hook_cells(current, top)[j:] if j < length else ()
+                for group in stable[length]:
                     if group & ~rem:
                         continue
                     # a state with tail rows left has no head part yet
-                    crossing = () if j == hook.length else ((hook.cells[j:], mask_labels(group)[j:]),)
-                    after = by[size - hook.length].setdefault((reduced, rem ^ group, crossing), {})
+                    crossing = ((head_cells, mask_labels(group)[j:]),) if head_cells else ()
+                    after = by[size - length].setdefault((reduced, rem ^ group, crossing), {})
                     for status, (count, signed) in statuses.items():
-                        acc = after.setdefault(step(status, group, hook.length, j, rem), [0, 0])
+                        acc = after.setdefault(step(status, group, length, j, rem), [0, 0])
                         acc[0] += count
                         acc[1] += sign * signed
         by[size] = None

@@ -1,6 +1,7 @@
 """Graph helpers that only the tests use: seeded random graphs and
 relabelings, brute-force connectivity, isomorphism and claw detection, the
-role invariants, the unordered stable-partition counts, and the brute-force
+role invariants, the semi-ordered and unordered stable-partition counts
+keyed by partition, and the brute-force
 least edge mask and connected-graph census the package's census is checked
 against."""
 
@@ -17,8 +18,9 @@ from chromatic_schur.graphs import (
     SPECIAL_ANCHOR,
     SPECIAL_PENDANT,
     LabeledGraph,
-    semi_ordered_partition_types,
+    semi_ordered_counts_by_id,
 )
+from chromatic_schur.partitions import partition_table
 
 
 def is_connected(graph) -> bool:
@@ -103,6 +105,13 @@ def multiplicity_factorials(mu) -> int:
     """The product of the factorials of the part multiplicities of ``mu``:
     the number of ways to order the parts of each size among themselves."""
     return prod(factorial(r) for r in Counter(mu).values())
+
+
+def semi_ordered_partition_types(graph) -> dict:
+    """The semi-ordered counts of ``semi_ordered_counts_by_id``, keyed by the
+    partition each id stands for."""
+    parts = partition_table(graph.n).parts
+    return {parts[i]: c for i, c in semi_ordered_counts_by_id(graph).items()}
 
 
 def stable_partition_types(graph) -> dict:

@@ -1,10 +1,16 @@
 """Tabloid enumerators that only the tests use.
 
+``peel_bottom_hooks`` peels a diagram by its cells: it walks the rim from
+the bottom-left cell and keeps each prefix whose removal leaves a partition
+diagram, reading the diagram left off the cells that remain.  It shares no
+code with ``chromatic_schur.tabloids.bottom_hooks``, which reads the same
+hooks off the row lengths, and every enumerator here peels with it.
 ``srh_tabloids`` lists the special rim hook tabloids one by one, as
 ``SrhTabloid`` objects; the tests compare the signed content table against
-it and read the golden cases from it.  ``reference_content_table`` builds
-the same table keyed by partitions, by a peel over the hook cells: a wider
-reference for the id-keyed tables of ``chromatic_schur.tabloids``.
+it and read the golden cases from it.  ``content_table`` reads the
+package's id-keyed signed content table keyed by partition, and
+``reference_content_table`` builds the same table by the cell peel: a wider
+reference for it.
 ``srh_g_tabloids`` streams the graph-filled tabloids one by one, a small-n
 reference for the memoized counts of ``chromatic_schur.tabloids``, and
 ``split_head_tail`` cuts one at the head/tail boundary.
@@ -16,8 +22,77 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from chromatic_schur.graphs import adjacency_masks, mask_labels, stable_masks
-from chromatic_schur.partitions import UNDEFINED, Partition, check_partition
-from chromatic_schur.tabloids import Cell, RimHook, TabloidPart, bottom_hook_choices
+from chromatic_schur.partitions import UNDEFINED, Partition, check_partition, partition_table
+from chromatic_schur.tabloids import Cell, TabloidPart, _content_table
+
+
+@dataclass(frozen=True)
+class RimHook:
+    """A special rim hook by its cells, from the first column outward."""
+
+    cells: tuple[Cell, ...]
+
+    @property
+    def length(self) -> int:
+        return len(self.cells)
+
+    @property
+    def steps(self) -> tuple[str, ...]:
+        return tuple(
+            "N" if r1 != r2 else "E"
+            for (r1, _), (r2, _) in zip(self.cells, self.cells[1:])
+        )
+
+    @property
+    def north_steps(self) -> int:
+        return self.steps.count("N")
+
+    def to_json_dict(self) -> dict:
+        return {"cells": [list(c) for c in self.cells], "steps": list(self.steps)}
+
+
+def _row_lengths(cells) -> Partition | None:
+    """The partition whose diagram is ``cells``, or None if they form none."""
+    rows = {}
+    for r, c in cells:
+        rows.setdefault(r, []).append(c)
+    lengths = []
+    for r in range(1, len(rows) + 1):
+        cols = sorted(rows.get(r, ()))
+        if not cols or cols != list(range(1, len(cols) + 1)):
+            return None
+        lengths.append(len(cols))
+    if lengths != sorted(lengths, reverse=True):
+        return None
+    return tuple(lengths)
+
+
+@lru_cache(maxsize=None)
+def peel_bottom_hooks(shape: Partition) -> tuple[tuple[RimHook, Partition], ...]:
+    """Every special rim hook of ``shape`` containing the bottom-left cell,
+    shortest first, with the diagram its removal leaves.
+
+    The rim is walked from the bottom-left cell, east while the row goes on
+    and north otherwise; a hook is a prefix of that walk whose removal
+    leaves a partition diagram.  Cells keep their absolute coordinates, so
+    the diagram left is read off the cells that remain.
+    """
+    if not shape:
+        return ()
+    cells = {(r, c) for r, width in enumerate(shape, 1) for c in range(1, width + 1)}
+    out = []
+    walk = [(len(shape), 1)]
+    while True:
+        r, c = walk[-1]
+        left = _row_lengths(cells.difference(walk))
+        if left is not None:
+            out.append((RimHook(tuple(walk)), left))
+        if (r, c + 1) in cells:
+            walk.append((r, c + 1))
+        elif (r - 1, c) in cells:
+            walk.append((r - 1, c))
+        else:
+            return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -81,12 +156,20 @@ def srh_tabloids(shape):
         if not current:
             yield SrhTabloid(shape, tuple(acc))
             return
-        for hook, reduced in bottom_hook_choices(current):
+        for hook, reduced in peel_bottom_hooks(current):
             acc.append(hook)
             yield from rec(reduced, acc)
             acc.pop()
 
     yield from rec(shape, [])
+
+
+def content_table(shape) -> dict:
+    """``chromatic_schur.tabloids._content_table`` of ``shape``, keyed by the
+    partition each id stands for."""
+    shape = check_partition(shape)
+    parts = partition_table(sum(shape)).parts
+    return {parts[i]: c for i, c in _content_table(shape).items()}
 
 
 @lru_cache(maxsize=None)
@@ -99,7 +182,7 @@ def reference_content_table(shape) -> dict:
     if not shape:
         return {(): 1}
     out = {}
-    for hook, reduced in bottom_hook_choices(shape):
+    for hook, reduced in peel_bottom_hooks(shape):
         sign = -1 if hook.north_steps & 1 else 1
         for mu, c in reference_content_table(reduced).items():
             nu = tuple(sorted(mu + (hook.length,), reverse=True))
@@ -127,7 +210,7 @@ def srh_g_tabloids(shape, graph):
         if not current:
             yield SrhGTabloid(shape, tuple(hooks), tuple(fills))
             return
-        for hook, reduced in bottom_hook_choices(current):
+        for hook, reduced in peel_bottom_hooks(current):
             for group in stable_masks(adj, remaining, hook.length):
                 hooks.append(hook)
                 fills.append(mask_labels(group))

@@ -93,6 +93,16 @@ def test_expand_oversized_graph_exit_2(capsys):
     assert "28 vertices exceed the cap of 24" in err
 
 
+def test_expand_tabloid_route_oversized_graph_exit_2(capsys):
+    # the tabloid route's DP reaches up to 2^n remaining-vertex sets, so it
+    # refuses 20 vertices before it builds its stable-set table
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "expand", "--graph", "GN(10,10)", "--method", "tabloid")
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert "20 vertices exceed the cap of 18 on the tabloid route" in err
+
+
 def test_f_table_text(capsys):
     code, out, _ = run_cli(capsys, "f-table", "--bound", "4")
     assert code == 0

@@ -28,7 +28,7 @@ from chromatic_schur.graphs import (
     with_disjoint_path,
 )
 from chromatic_schur.partitions import UNDEFINED, partitions_of
-from chromatic_schur.tabloids import signed_content_table, signed_g_tabloid_counts
+from chromatic_schur.tabloids import signed_g_tabloid_counts
 from graph_helpers import random_graph, random_relabeling
 from tabloid_helpers import srh_g_tabloids
 
@@ -94,8 +94,6 @@ def test_schur_coefficient_validation():
         schur_coefficient(complete_graph(3), (1, 2))
     with pytest.raises(ValueError):
         xi((1, 2), complete_graph(3))
-    with pytest.raises(ValueError):
-        signed_content_table((1, 2))
 
 
 def test_schur_expansion_examples():

@@ -29,7 +29,6 @@ from chromatic_schur.graphs import (
     least_edge_mask,
     mask_labels,
     path_graph,
-    semi_ordered_partition_types,
     stable_masks,
     star_graph,
     vertex_mask,
@@ -44,6 +43,7 @@ from graph_helpers import (
     least_edge_mask_by_relabeling,
     random_graph,
     random_relabeling,
+    semi_ordered_partition_types,
     stable_partition_types,
     validate_roles,
 )

@@ -8,8 +8,10 @@ from chromatic_schur.graphs import (
     with_disjoint_path,
 )
 from chromatic_schur.partitions import UNDEFINED, partitions_of, sort_to_partition
-from chromatic_schur.tabloids import bottom_hook_choices, bottom_hooks, signed_content_table
+from chromatic_schur.tabloids import _content_table, bottom_hooks
 from tabloid_helpers import (
+    content_table,
+    peel_bottom_hooks,
     reference_content_table,
     split_head_tail,
     srh_g_tabloids,
@@ -145,39 +147,86 @@ def test_signed_content_table_matches_enumerated_tabloids():
             for t in srh_tabloids(shape):
                 mu = sort_to_partition(t.content)
                 grouped[mu] = grouped.get(mu, 0) + t.sign
-            table = signed_content_table(shape)
-            assert dict(table) == {mu: c for mu, c in grouped.items() if c}, shape
+            assert content_table(shape) == {mu: c for mu, c in grouped.items() if c}, shape
     with pytest.raises(TypeError):
-        table[shape] = 0  # read-only
+        _content_table(shape)[0] = 0  # read-only
 
 
 def test_arithmetic_peel_matches_the_hook_cells():
-    # the same hooks in the same order: length, sign and the diagram left
+    # the same hooks in the same order: length, sign and the diagram left,
+    # the cells' diagram read off the cells that remain
     for n in range(13):
         for shape in partitions_of(n):
             expected = [
                 (hook.cells[-1][0], hook.length, -1 if hook.north_steps & 1 else 1, reduced)
-                for hook, reduced in bottom_hook_choices(shape)
+                for hook, reduced in peel_bottom_hooks(shape)
             ]
             assert list(bottom_hooks(shape)) == expected, shape
+
+
+def test_tail_cell_count_matches_the_hook_cells():
+    # the head/tail statistics count a hook's tail cells off the row
+    # lengths; on every subdiagram the peel reaches, that is the number of
+    # its cells below the head rows, and they come first in read order
+    from chromatic_schur.tabloids import _tail_cells
+
+    for n in range(11):
+        for shape in partitions_of(n):
+            h = sum(1 for p in shape if p > 1)
+            todo, seen = [shape], set()
+            while todo:
+                current = todo.pop()
+                if current in seen:
+                    continue
+                seen.add(current)
+                for hook, reduced in peel_bottom_hooks(current):
+                    j = _tail_cells(current, hook.cells[-1][0], h)
+                    assert j == sum(1 for r, _ in hook.cells if r > h), (shape, current, hook)
+                    assert all(r > h for r, _ in hook.cells[:j]), (shape, current, hook)
+                    todo.append(reduced)
 
 
 def test_id_keyed_content_tables_match_the_reference():
     for n in range(15):
         for shape in partitions_of(n):
-            assert dict(signed_content_table(shape)) == reference_content_table(shape), shape
+            assert content_table(shape) == reference_content_table(shape), shape
 
 
-def test_grouped_route_builds_no_rim_hook():
+def test_grouped_route_builds_no_rim_hook(monkeypatch):
+    # both routes peel by the row lengths alone: no hook's cells are built
     from chromatic_schur import graphs, tabloids
     from chromatic_schur.coefficients import schur_expansion
 
-    for cached in (tabloids.bottom_hook_choices, tabloids.bottom_hooks, tabloids._content_table):
-        cached.cache_clear()
+    def refuse(*args):
+        raise AssertionError("a route built hook cells")
+
+    monkeypatch.setattr(tabloids, "_hook_cells", refuse)
+    tabloids.bottom_hooks.cache_clear()
+    tabloids._content_table.cache_clear()
     graphs._types_for.cache_clear()
     schur_expansion(path_graph(12))
     assert tabloids.bottom_hooks.cache_info().currsize > 0
-    assert tabloids.bottom_hook_choices.cache_info().currsize == 0
+    schur_expansion(path_graph(8), "tabloid")
+    tabloids.pendant_tail_counts((2, 2, 1, 1, 1, 1), generalized_net(4, 4), range(1, 5))
+
+
+def test_head_class_sums_build_each_hook_cells_once(monkeypatch):
+    # cells only for hooks with a cell in the head, once per (subdiagram,
+    # top row) in a call
+    from chromatic_schur import tabloids
+
+    built = []
+    cells = tabloids._hook_cells
+
+    def recorded(shape, top):
+        built.append((shape, top))
+        return cells(shape, top)
+
+    monkeypatch.setattr(tabloids, "_hook_cells", recorded)
+    # pendant-first: pendants 1..4, body 5..8; two head rows
+    assert tabloids.head_class_sums((3, 2, 1, 1, 1), generalized_net(4, 4), range(1, 5), range(5, 9))
+    assert built and len(built) == len(set(built))
+    assert all(top <= 2 for _, top in built)
 
 
 # --- graph-filled tabloids ---------------------------------------------------
