@@ -3,8 +3,9 @@
 ``grouped``  (the default) applies the inverse Kostka matrix, read from the
              signed content table of special rim hook tabloids, to the
              monomial expansion;
-``tabloid``  sums G-tabloid signs directly, by a DP with one state per
-             remaining-vertex set that holds every needed subdiagram;
+``tabloid``  sums G-tabloid signs directly, by a DP filled bottom-up with
+             one state per remaining-vertex bitmask that holds every
+             needed subdiagram;
 ``oracle``   applies the inverse by back-substitution through Kostka numbers.
 
 All three must agree on every input; the test suite enforces this.  They are

@@ -29,9 +29,9 @@ from .records import FrozenRecord
 
 Cell = tuple[int, int]
 
-# the most vertices of the tabloid route, whose DP reaches up to 2^n
-# remaining-vertex sets; on a 2-vCPU host GN(8,8) took 11.7 s at 52 MB peak
-# RSS and GN(9,9), 18 vertices, 88 s at 224 MB
+# the most vertices of the tabloid route, whose DP fills up to 2^n
+# remaining-vertex states; on a 2-vCPU host GN(8,8) took 8.1 s at 46 MB peak
+# RSS and GN(9,9), 18 vertices, 58 s at 198 MB
 MAX_TABLOID_VERTICES = 18
 
 
@@ -97,9 +97,10 @@ def _content_table(shape: Partition) -> MappingProxyType:
 def _hook_plan(shapes: tuple[Partition, ...]):
     """The subdiagrams that peeling ``shapes`` reaches, numbered within
     each size, as ``(ids, plans)``: ``ids[shape]`` is the index of
-    ``shape`` among the subdiagrams of its size, and ``plans[size]`` lists
-    ``(length, reduced id, sign)`` for every bottom hook of each subdiagram
-    of that size, in id order."""
+    ``shape`` among the subdiagrams of its size, and ``plans[size]`` is
+    ``(count, ((length, ((id, reduced id, sign), ...)), ...))``: the number
+    of subdiagrams of that size, and their bottom hooks grouped by length,
+    shortest first."""
     ids: dict = {}
     by_size: dict = {}
     todo = list(shapes)
@@ -111,13 +112,13 @@ def _hook_plan(shapes: tuple[Partition, ...]):
         ids[shape] = len(of_size)
         of_size.append(shape)
         todo.extend(reduced for *_, reduced in bottom_hooks(shape))
-    plans = {
-        size: tuple(
-            tuple((length, ids[reduced], sign) for _, length, sign, reduced in bottom_hooks(shape))
-            for shape in of_size
-        )
-        for size, of_size in by_size.items()
-    }
+    plans = {}
+    for size, of_size in by_size.items():
+        by_length: dict = {}
+        for i, shape in enumerate(of_size):
+            for _, length, sign, reduced in bottom_hooks(shape):
+                by_length.setdefault(length, []).append((i, ids[reduced], sign))
+        plans[size] = (len(of_size), tuple((length, tuple(hooks)) for length, hooks in sorted(by_length.items())))
     return ids, plans
 
 
@@ -126,15 +127,19 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     over ``graph``, as ``{shape: count}``.  Every shape must have the
     graph's vertex count as its size.
 
-    Sums the signs without building a tabloid, by a memo on the
+    Sums the signs without building a tabloid, by a DP on the
     remaining-vertex bitmask alone.  A state with k vertices left holds the
     signed counts of every subdiagram of size k that peeling ``shapes``
-    reaches, filled with exactly those vertices.  For each hook length it
-    first sums the rests' counts over the sets of ``stable_sets(graph)`` of
-    that length that fit; each subdiagram then reads its bottom hooks from
-    those sums, with their signs.  The hook plan and the memo are built
-    afresh by each call and dropped when it returns.  Raises ``ValueError``
-    above ``MAX_TABLOID_VERTICES`` vertices, before anything is built.
+    reaches, filled with exactly those vertices.  For each hook length of
+    the plan it sums, once, the rests' counts over the sets of
+    ``stable_sets(graph)`` of that length that fit, and adds each hook of
+    that length, with its sign, into its subdiagram's count.  The states
+    fill a list of 2^n slots bottom-up, in increasing bitmask order, which
+    finds every rest filled, as removing a stable set lowers the bitmask;
+    sizes that no plan reaches are skipped.  The hook plan and the states
+    are built afresh by each call and dropped when it returns.  Raises
+    ``ValueError`` above ``MAX_TABLOID_VERTICES`` vertices, before anything
+    is built.
     """
     if graph.n > MAX_TABLOID_VERTICES:
         raise ValueError(f"{graph.n} vertices exceed the cap of {MAX_TABLOID_VERTICES} on the tabloid route")
@@ -146,32 +151,26 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     ids, plans = _hook_plan(shapes)
     stable = stable_sets(graph)
     full = (1 << graph.n) - 1
-    lengths = {
-        size: sorted({length for plan in of_size for length, _, _ in plan})
-        for size, of_size in plans.items()
-    }
-    memo = {0: [1]}
-
-    def counts(rem):
-        got = memo.get(rem)
-        if got is not None:
-            return got
-        size = rem.bit_count()
+    memo = [None] * (full + 1)
+    memo[0] = [1]
+    # a stable set S that fits rem leaves rem ^ S == rem - S < rem, so in
+    # increasing order every rest a state reads is already filled
+    for rem in range(1, full + 1):
+        plan = plans.get(rem.bit_count())
+        if plan is None:
+            continue
+        count, by_length = plan
         miss = full ^ rem
-        sums = {}
-        for length in lengths[size]:
-            rests = [counts(rem ^ group) for group in stable[length] if not group & miss]
-            if rests:
-                sums[length] = [sum(col) for col in zip(*rests)]
-        got = [
-            sum(sign * sums[length][rid] for length, rid, sign in plan if length in sums)
-            for plan in plans[size]
-        ]
+        got = [0] * count
+        for length, hooks in by_length:
+            rests = [memo[rem ^ group] for group in stable[length] if not group & miss]
+            if not rests:
+                continue
+            col = rests[0] if len(rests) == 1 else [sum(c) for c in zip(*rests)]
+            for i, rid, sign in hooks:
+                got[i] += sign * col[rid]
         memo[rem] = got
-        return got
-
-    top = counts(full)
-    return {shape: top[ids[shape]] for shape in shapes}
+    return {shape: memo[full][ids[shape]] for shape in shapes}
 
 
 class TabloidPart(FrozenRecord):

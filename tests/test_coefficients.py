@@ -189,7 +189,8 @@ def test_per_graph_caches_stay_bounded():
 
 
 def test_default_path_leaves_the_tabloid_memo_empty(capsys, monkeypatch):
-    """The tabloid route's memo has no bound on its states, so no default
+    """The tabloid route's memo is a list of 2^n slots, one per
+    remaining-vertex bitmask, bounded only by the vertex cap, so no default
     entry point may call it."""
     from chromatic_schur import coefficients
     from chromatic_schur.cli import main

@@ -338,6 +338,7 @@ def test_signed_g_tabloid_counts_equal_the_grouped_route():
 
 
 def test_signed_g_tabloid_counts_edge_cases():
+    from chromatic_schur.coefficients import GROUPED, schur_expansion
     from chromatic_schur.graphs import LabeledGraph, path_graph
     from chromatic_schur.tabloids import signed_g_tabloid_counts
 
@@ -354,6 +355,54 @@ def test_signed_g_tabloid_counts_edge_cases():
     # the edgeless graph's coefficients are the f^lambda
     edgeless = LabeledGraph(6, [])
     assert signed_g_tabloid_counts(edgeless, [(5, 1), (3, 3)]) == {(5, 1): 5, (3, 3): 5}
+    # hook lengths that no stable set fills leave a state without a column
+    # for that length; asked one shape at a time and all at once, the counts
+    # still equal the grouped route's
+    k5 = complete_graph(5)
+    # only singletons are stable in K(5), so only the column of ones counts
+    want = {lam: 120 if lam == (1, 1, 1, 1, 1) else 0 for lam in partitions_of(5)}
+    assert signed_g_tabloid_counts(k5, partitions_of(5)) == want
+    p4 = path_graph(4)
+    assert signed_g_tabloid_counts(p4, [(4,), (2, 2)]) == {(4,): 0, (2, 2): 2}
+    # the highest label is isolated, so every state holding it has its top bit set
+    isolated_top = LabeledGraph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)])
+    for graph in (k5, p4, isolated_top):
+        shapes = partitions_of(graph.n)
+        grouped = schur_expansion(graph, GROUPED)
+        want = {lam: grouped[lam] for lam in shapes}
+        assert signed_g_tabloid_counts(graph, shapes) == want, graph
+        for lam in shapes:
+            assert signed_g_tabloid_counts(graph, [lam]) == {lam: want[lam]}, (graph, lam)
+
+
+def test_hook_plan_invariants():
+    """The plan numbers the subdiagrams of each size densely, lists under
+    each length exactly the ``bottom_hooks`` of that length with their
+    reduced diagrams and signs, and reaches a set closed under peeling."""
+    from chromatic_schur.tabloids import _hook_plan
+
+    for n in range(11):
+        shapes = tuple(partitions_of(n))
+        ids, plans = _hook_plan(shapes)
+        assert set(shapes) <= set(ids)
+        of_size: dict = {}
+        for shape, i in ids.items():
+            of_size.setdefault(sum(shape), {})[i] = shape
+        assert set(plans) == set(of_size)
+        for size, (count, by_length) in plans.items():
+            assert sorted(of_size[size]) == list(range(count)), (n, size)
+            lengths = [length for length, _ in by_length]
+            assert lengths == sorted(set(lengths)), (n, size)
+            listed = sorted(
+                (i, length, rid, sign) for length, hooks in by_length for i, rid, sign in hooks
+            )
+            peeled = []
+            for i, shape in of_size[size].items():
+                for _, length, sign, reduced in bottom_hooks(shape):
+                    assert reduced in ids, (shape, reduced)
+                    peeled.append((i, length, ids[reduced], sign))
+                    assert of_size[size - length][ids[reduced]] == reduced
+            assert listed == sorted(peeled), (n, size)
 
 
 # --- bottom-vertex classes ----------------------------------------------------
