@@ -36,7 +36,7 @@ from .graphs import (
 )
 from .partitions import UNDEFINED, check_partition, partition_table, partitions_of
 from .tableaux import monomial_to_schur
-from .tabloids import _content_table, signed_g_tabloid_counts
+from .tabloids import _check_route_size, _content_table, signed_g_tabloid_counts
 
 TABLOID = "tabloid"
 GROUPED = "grouped"
@@ -51,8 +51,9 @@ def chromatic_monomial_expansion(graph: LabeledGraph) -> CoefficientVector:
     type mu: each unordered stable partition contributes the full product of
     size-multiplicity factorials, which is the augmented-monomial expansion.
     """
+    counts = semi_ordered_counts_by_id(graph)  # refuses an oversized graph first
     parts = partition_table(graph.n).parts
-    return CoefficientVector(MONOMIAL, {parts[i]: c for i, c in semi_ordered_counts_by_id(graph).items()})
+    return CoefficientVector(MONOMIAL, {parts[i]: c for i, c in counts.items()})
 
 
 def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:
@@ -84,6 +85,7 @@ def schur_expansion(graph: LabeledGraph, method: str = GROUPED) -> CoefficientVe
         mono = semi_ordered_counts_by_id(graph)
         coeffs = {lam: _grouped(lam, mono) for lam in partitions_of(graph.n)}
     elif method == TABLOID:
+        _check_route_size(graph)
         coeffs = signed_g_tabloid_counts(graph, partitions_of(graph.n))
     else:
         raise ValueError(f"unknown method {method!r}")

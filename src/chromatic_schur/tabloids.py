@@ -13,9 +13,10 @@ Every peel here, both rim hook routes and the head/tail statistics, goes
 through ``bottom_hooks``, which reads each hook's top row, length, sign and
 the diagram it leaves off the row lengths alone.  The grouped route's signed
 content tables are keyed by the partition ids of
-``partitions.partition_table``, and the tabloid route numbers the
-subdiagrams it reaches.  Only the head fragments that ``head_class_sums``
-reports hold cells, built per call by ``_hook_cells``.
+``partitions.partition_table``.  One bottom-up fill over remaining-vertex
+bitmasks, ``_fill``, gives both the tabloid route's signed counts and the
+tail counts of ``pendant_tail_counts``.  Only the head fragments that
+``head_class_sums`` reports hold cells, built per call by ``_hook_cells``.
 """
 
 from __future__ import annotations
@@ -94,13 +95,17 @@ def _content_table(shape: Partition) -> MappingProxyType:
     return MappingProxyType({j: c for j, c in out.items() if c})
 
 
-def _hook_plan(shapes: tuple[Partition, ...]):
+def _hook_plan(shapes: tuple[Partition, ...], h: int | None = None):
     """The subdiagrams that peeling ``shapes`` reaches, numbered within
-    each size, as ``(ids, plans)``: ``ids[shape]`` is the index of
-    ``shape`` among the subdiagrams of its size, and ``plans[size]`` is
-    ``(count, ((length, ((id, reduced id, sign), ...)), ...))``: the number
-    of subdiagrams of that size, and their bottom hooks grouped by length,
-    shortest first."""
+    each size, as ``(ids, plans)``.  ``plans[size]`` is ``(count, ((length,
+    j, ((slot, reduced slot, weight), ...)), ...))``: the slots of that
+    size, and their bottom hooks grouped by length and by j, the number of
+    the hook's lowest vertices that must be pendants.  On the route (no
+    ``h``) slot ``ids[shape]`` is the signed count, j is 0 and a hook weighs
+    its sign.  Below ``h`` head rows every hook weighs 1, and a subdiagram
+    has two slots: ``ids[shape]`` (j = 0) for every filling and ``ids[shape]
+    + count // 2`` (j its tail cells) for those whose tail is all pendants.
+    """
     ids: dict = {}
     by_size: dict = {}
     todo = list(shapes)
@@ -114,63 +119,80 @@ def _hook_plan(shapes: tuple[Partition, ...]):
         todo.extend(reduced for *_, reduced in bottom_hooks(shape))
     plans = {}
     for size, of_size in by_size.items():
-        by_length: dict = {}
+        groups: dict = {}
         for i, shape in enumerate(of_size):
-            for _, length, sign, reduced in bottom_hooks(shape):
-                by_length.setdefault(length, []).append((i, ids[reduced], sign))
-        plans[size] = (len(of_size), tuple((length, tuple(hooks)) for length, hooks in sorted(by_length.items())))
+            for top, length, sign, reduced in bottom_hooks(shape):
+                rid = ids[reduced]
+                groups.setdefault((length, 0), []).append((i, rid, sign if h is None else 1))
+                if h is not None:
+                    j, rest = _tail_cells(shape, top, h), len(by_size[size - length])
+                    groups.setdefault((length, j), []).append((len(of_size) + i, rest + rid, 1))
+        count = len(of_size) if h is None else 2 * len(of_size)
+        plans[size] = (count, tuple((*key, tuple(hooks)) for key, hooks in sorted(groups.items())))
     return ids, plans
+
+
+def _fill(graph: LabeledGraph, plans, pend: int = 0) -> list:
+    """The slots of size ``graph.n`` of ``plans``, by a DP on the
+    remaining-vertex bitmask: a state with k vertices left holds every slot
+    of size k filled with exactly those vertices.  Per (length, j) group it
+    sums the rests over the allowed sets that fit, once, and adds each
+    hook's weight times its rest's slot.  A stable set is allowed when its j
+    lowest vertices lie in ``pend``, chosen once per group before the loop.
+    """
+    stable = stable_sets(graph)
+    keys = {(length, j) for _, groups in plans.values() for length, j, _ in groups}
+    allowed = {
+        (length, j): tuple(g for g in stable[length] if not _low_bits(g, j) & ~pend) if j else stable[length]
+        for length, j in keys
+    }
+    steps = {
+        size: (count, tuple((allowed[length, j], hooks) for length, j, hooks in groups))
+        for size, (count, groups) in plans.items()
+    }
+    full = (1 << graph.n) - 1
+    memo = [None] * (full + 1)
+    memo[0] = [1] * plans[0][0]
+    # a stable set S that fits rem leaves rem ^ S == rem - S < rem, so in
+    # increasing order every rest a state reads is already filled
+    for rem in range(1, full + 1):
+        step = steps.get(rem.bit_count())
+        if step is None:
+            continue
+        count, groups = step
+        miss = full ^ rem
+        got = [0] * count
+        for sets, hooks in groups:
+            rests = [memo[rem ^ group] for group in sets if not group & miss]
+            if not rests:
+                continue
+            col = rests[0] if len(rests) == 1 else [sum(c) for c in zip(*rests)]
+            for i, rid, weight in hooks:
+                got[i] += weight * col[rid]
+        memo[rem] = got
+    return memo[full]
+
+
+def _check_route_size(graph: LabeledGraph) -> None:
+    if graph.n > MAX_TABLOID_VERTICES:
+        raise ValueError(f"{graph.n} vertices exceed the cap of {MAX_TABLOID_VERTICES} on the tabloid route")
 
 
 def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     """The sum of the signs of every SRH G-tabloid of each of ``shapes``
-    over ``graph``, as ``{shape: count}``.  Every shape must have the
-    graph's vertex count as its size.
-
-    Sums the signs without building a tabloid, by a DP on the
-    remaining-vertex bitmask alone.  A state with k vertices left holds the
-    signed counts of every subdiagram of size k that peeling ``shapes``
-    reaches, filled with exactly those vertices.  For each hook length of
-    the plan it sums, once, the rests' counts over the sets of
-    ``stable_sets(graph)`` of that length that fit, and adds each hook of
-    that length, with its sign, into its subdiagram's count.  The states
-    fill a list of 2^n slots bottom-up, in increasing bitmask order, which
-    finds every rest filled, as removing a stable set lowers the bitmask;
-    sizes that no plan reaches are skipped.  The hook plan and the states
-    are built afresh by each call and dropped when it returns.  Raises
-    ``ValueError`` above ``MAX_TABLOID_VERTICES`` vertices, before anything
-    is built.
-    """
-    if graph.n > MAX_TABLOID_VERTICES:
-        raise ValueError(f"{graph.n} vertices exceed the cap of {MAX_TABLOID_VERTICES} on the tabloid route")
+    over ``graph``, as ``{shape: count}``, by one ``_fill`` of their hook
+    plan, which lives for the call.  Every shape's size must be the vertex
+    count.  Raises ``ValueError`` above ``MAX_TABLOID_VERTICES`` vertices,
+    before anything is built."""
+    _check_route_size(graph)
     shapes = tuple(dict.fromkeys(map(check_partition, shapes)))
     if any(sum(shape) != graph.n for shape in shapes):
         raise ValueError("partition size must equal the vertex count")
     if not shapes:
         return {}
     ids, plans = _hook_plan(shapes)
-    stable = stable_sets(graph)
-    full = (1 << graph.n) - 1
-    memo = [None] * (full + 1)
-    memo[0] = [1]
-    # a stable set S that fits rem leaves rem ^ S == rem - S < rem, so in
-    # increasing order every rest a state reads is already filled
-    for rem in range(1, full + 1):
-        plan = plans.get(rem.bit_count())
-        if plan is None:
-            continue
-        count, by_length = plan
-        miss = full ^ rem
-        got = [0] * count
-        for length, hooks in by_length:
-            rests = [memo[rem ^ group] for group in stable[length] if not group & miss]
-            if not rests:
-                continue
-            col = rests[0] if len(rests) == 1 else [sum(c) for c in zip(*rests)]
-            for i, rid, sign in hooks:
-                got[i] += sign * col[rid]
-        memo[rem] = got
-    return {shape: memo[full][ids[shape]] for shape in shapes}
+    top = _fill(graph, plans)
+    return {shape: top[ids[shape]] for shape in shapes}
 
 
 class TabloidPart(FrozenRecord):
@@ -210,8 +232,8 @@ class TabloidPart(FrozenRecord):
 # The head is the rows of length > 1 and the tail the rows of length 1 below
 # them, one column wide.  Rows keep their absolute index under the peel, and
 # a hook reads its tail cells before its head cells, so the j tail cells of a
-# hook hold its j smallest vertices.  Both statistics below are computed on
-# (subdiagram, remaining-vertex bitmask) states, never building a tabloid.
+# hook hold its j smallest vertices.  Neither statistic below builds a
+# tabloid.
 
 
 def _head_rows(shape: Partition) -> int:
@@ -237,42 +259,17 @@ def _low_bits(group: int, j: int) -> int:
 
 def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]:
     """The number of SRH G-tabloids of ``shape`` over ``graph``, and of those
-    whose tail is nonempty and holds only vertices of ``pendants``.
-
-    The tail holds only pendants when every hook's smallest vertices, one
-    per tail cell of the hook, are pendants.  One memo on (subdiagram,
-    remaining bitmask) keeps both counts.  The shape's size must be the
-    graph's vertex count.
+    whose tail is nonempty and holds only vertices of ``pendants``: those in
+    which every hook's smallest vertices, one per tail cell, are pendants.
+    Both are the two full-size slots of one ``_fill`` below the head rows.
+    The shape's size must be the graph's vertex count.
     """
     shape = check_partition(shape)
     if sum(shape) != graph.n:
         raise ValueError("partition size must equal the vertex count")
-    stable = stable_sets(graph)
     h = _head_rows(shape)
-    pend = vertex_mask(pendants)
-    memo: dict = {}
-
-    def count(current, rem):
-        if not current:
-            return 1, 1
-        key = (current, rem)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = only_pendants = 0
-        for top, length, _, reduced in bottom_hooks(current):
-            j = _tail_cells(current, top, h)
-            for group in stable[length]:
-                if group & ~rem:
-                    continue
-                a, b = count(reduced, rem ^ group)
-                total += a
-                if not _low_bits(group, j) & ~pend:
-                    only_pendants += b
-        memo[key] = total, only_pendants
-        return total, only_pendants
-
-    total, only_pendants = count(shape, (1 << graph.n) - 1)
+    _, plans = _hook_plan((shape,), h)
+    total, only_pendants = _fill(graph, plans, vertex_mask(pendants))
     return total, only_pendants if h < len(shape) else 0
 
 

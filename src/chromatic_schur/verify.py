@@ -50,13 +50,13 @@ from .tabloids import head_class_sums, pendant_tail_counts
 # Nominal per-instance cost classes, keyed by vertex count, used to gate
 # expensive optional instances behind --budget-ms.  The table is fixed rather
 # than measured, so identical invocations run identical instance sets, and a
-# changed price changes which instances run.  The coefficient prices were set
-# at two to three times the cost of the memoized tabloid route.  The
-# enumeration prices were set at about twice the cost of the head-group
-# check's dynamic programme on GN(n/2, n/2) at (2,2,1^(n-4)) on a 2-core host:
-# 0.1 s at 10 vertices, 0.6-0.7 s at 12, 4.2-4.6 s at 14 and 36-38 s at 16.
-# Heads with more rows cost more, since every head class becomes one
-# reported instance.
+# changed price changes which instances run.  The coefficient prices still date
+# from the tabloid route, at two to three times its cost, and overprice the
+# grouped route, which every gated coefficient instance runs.  The enumeration
+# prices were set at about twice the cost of the head-group check's dynamic
+# programme on GN(n/2, n/2) at (2,2,1^(n-4)) on a 2-core host: 0.1 s at 10
+# vertices, 0.6-0.7 s at 12, 4.2-4.6 s at 14 and 36-38 s at 16.  Heads with
+# more rows cost more, since every head class becomes one reported instance.
 COEFFICIENT_COST_MS = {9: 1_000, 10: 3_000, 11: 10_000, 12: 30_000, 13: 120_000}
 ENUMERATION_COST_MS = {11: 1_000, 12: 2_000, 13: 5_000, 14: 10_000, 15: 30_000, 16: 80_000}
 DEFAULT_BUDGET_MS = 30_000

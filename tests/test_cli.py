@@ -85,22 +85,26 @@ def test_expand_invalid_graph_exit_2(capsys):
 
 def test_expand_oversized_graph_exit_2(capsys):
     # 28 vertices are past the cap of the stable-partition type count, which
-    # refuses before it allocates its table of vertex subsets
-    started = time.perf_counter()
-    code, out, err = run_cli(capsys, "expand", "--graph", "GN(14,14)")
-    assert time.perf_counter() - started < 1
-    assert code == 2 and out == ""
-    assert "28 vertices exceed the cap of 24" in err
+    # refuses before it allocates its table of vertex subsets, and on the
+    # oracle route before the partitions of the vertex count are listed
+    for argv, n in ((("--graph", "GN(14,14)"), 28), (("--graph", "GN(20,20)", "--method", "oracle"), 40)):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "expand", *argv)
+        assert time.perf_counter() - started < 1, argv
+        assert code == 2 and out == ""
+        assert f"{n} vertices exceed the cap of 24" in err
 
 
 def test_expand_tabloid_route_oversized_graph_exit_2(capsys):
     # the tabloid route's DP reaches up to 2^n remaining-vertex sets, so it
-    # refuses 20 vertices before it builds its stable-set table
-    started = time.perf_counter()
-    code, out, err = run_cli(capsys, "expand", "--graph", "GN(10,10)", "--method", "tabloid")
-    assert time.perf_counter() - started < 1
-    assert code == 2 and out == ""
-    assert "20 vertices exceed the cap of 18 on the tabloid route" in err
+    # refuses 20 vertices before it builds its stable-set table, and 60
+    # before the partitions of the vertex count are listed
+    for graph, n in (("GN(10,10)", 20), ("GN(30,30)", 60)):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "expand", "--graph", graph, "--method", "tabloid")
+        assert time.perf_counter() - started < 1, graph
+        assert code == 2 and out == ""
+        assert f"{n} vertices exceed the cap of 18 on the tabloid route" in err
 
 
 def test_f_table_text(capsys):

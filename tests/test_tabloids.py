@@ -377,32 +377,45 @@ def test_signed_g_tabloid_counts_edge_cases():
 
 def test_hook_plan_invariants():
     """The plan numbers the subdiagrams of each size densely, lists under
-    each length exactly the ``bottom_hooks`` of that length with their
-    reduced diagrams and signs, and reaches a set closed under peeling."""
-    from chromatic_schur.tabloids import _hook_plan
+    each (length, j) exactly the ``bottom_hooks`` of that length with their
+    reduced diagrams, and reaches a set closed under peeling.  On the route
+    every j is 0 and a hook weighs its sign.  Below h head rows a second
+    half of slots lists each hook again with j its ``_tail_cells``, and
+    every hook weighs 1."""
+    from chromatic_schur.tabloids import _hook_plan, _tail_cells
 
     for n in range(11):
         shapes = tuple(partitions_of(n))
-        ids, plans = _hook_plan(shapes)
-        assert set(shapes) <= set(ids)
-        of_size: dict = {}
-        for shape, i in ids.items():
-            of_size.setdefault(sum(shape), {})[i] = shape
-        assert set(plans) == set(of_size)
-        for size, (count, by_length) in plans.items():
-            assert sorted(of_size[size]) == list(range(count)), (n, size)
-            lengths = [length for length, _ in by_length]
-            assert lengths == sorted(set(lengths)), (n, size)
-            listed = sorted(
-                (i, length, rid, sign) for length, hooks in by_length for i, rid, sign in hooks
-            )
-            peeled = []
-            for i, shape in of_size[size].items():
-                for _, length, sign, reduced in bottom_hooks(shape):
-                    assert reduced in ids, (shape, reduced)
-                    peeled.append((i, length, ids[reduced], sign))
-                    assert of_size[size - length][ids[reduced]] == reduced
-            assert listed == sorted(peeled), (n, size)
+        cases = [(shapes, None)] + [((shape,), sum(1 for p in shape if p > 1)) for shape in shapes]
+        for given, h in cases:
+            ids, plans = _hook_plan(given, h)
+            assert set(given) <= set(ids)
+            of_size: dict = {}
+            for shape, i in ids.items():
+                of_size.setdefault(sum(shape), {})[i] = shape
+            assert set(plans) == set(of_size)
+            for size, (count, groups) in plans.items():
+                half = len(of_size[size])
+                assert sorted(of_size[size]) == list(range(half)), (n, size)
+                assert count == (half if h is None else 2 * half), (n, size, h)
+                keys = [(length, j) for length, j, _ in groups]
+                assert keys == sorted(set(keys)), (n, size)
+                listed = sorted(
+                    (i, length, j, rid, weight) for length, j, hooks in groups for i, rid, weight in hooks
+                )
+                peeled = []
+                for i, shape in of_size[size].items():
+                    for top, length, sign, reduced in bottom_hooks(shape):
+                        assert reduced in ids, (shape, reduced)
+                        rid = ids[reduced]
+                        assert of_size[size - length][rid] == reduced
+                        if h is None:
+                            peeled.append((i, length, 0, rid, sign))
+                            continue
+                        rest = len(of_size[size - length])
+                        peeled.append((i, length, 0, rid, 1))
+                        peeled.append((half + i, length, _tail_cells(shape, top, h), rest + rid, 1))
+                assert listed == sorted(peeled), (n, size, h)
 
 
 # --- bottom-vertex classes ----------------------------------------------------
