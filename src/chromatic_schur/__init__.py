@@ -6,11 +6,12 @@ the Schur basis either by signed rim hook tabloids or by Kostka
 back-substitution.  The last two share the monomial expansion, one
 inclusion-exclusion count over vertex subsets, and its read-only counts are
 the only per-graph result kept between calls; the first alone reads stable
-sets, from ``graphs.stable_sets``.  The two rim hook routes and the suites'
-head/tail statistics share the package's one rim hook peel,
-``tabloids.bottom_hooks``, and the counts and signed content tables one
-partition numbering, ``partitions.partition_table``.  No tabloid memo
-outlives its call.  Batch suites verify the recurrences and positivity
+sets, from ``graphs.stable_sets``.  Every engine reads a graph by the
+neighbour bitmasks it stores, ``LabeledGraph.adj``.  The two rim hook
+routes and the suites' head/tail statistics share the package's one rim
+hook peel, ``tabloids.bottom_hooks``, and the counts and signed content
+tables one partition numbering, ``partitions.partition_table``.  No tabloid
+memo outlives its call.  Batch suites verify the recurrences and positivity
 statements these coefficients satisfy.
 """
 

@@ -10,10 +10,10 @@
 
 All three must agree on every input; the test suite enforces this.  They are
 not wholly independent.  Grouped and oracle share the monomial expansion,
-one inclusion-exclusion count in ``graphs`` that reads only
-``graphs.adjacency_masks``; its semi-ordered counts, read-only per graph and
-keyed by the partition ids of ``partitions.partition_table``, are the only
-cache keyed by graph.  The tabloid route alone reads stable sets, from the
+one inclusion-exclusion count in ``graphs`` that reads only the neighbour
+bitmasks ``LabeledGraph.adj``; its semi-ordered counts, read-only per graph
+and keyed by the partition ids of ``partitions.partition_table``, are the
+only cache keyed by graph.  The tabloid route alone reads stable sets, from the
 table of ``graphs.stable_sets``, which the tests check against the bitmask
 enumerator, and that against brute force.  Grouped and tabloid, and the
 suites' head/tail statistics, peel rim hooks with one arithmetic peel,

@@ -5,10 +5,11 @@ bookkeeping, claw detection, exact stable-partition counting and the
 connected-graph census.  Graphs are immutable after construction and safe
 to share across workers.
 
-Vertex sets in the enumerators are int bitmasks, bit ``v - 1`` for vertex
-``v``.  The only result kept per graph is the semi-ordered counts of
-``semi_ordered_counts_by_id``, the monomial coefficients by partition id:
-one inclusion-exclusion count, which reads only ``adjacency_masks``.  The
+Vertex sets are int bitmasks, bit ``v - 1`` for vertex ``v``, and a graph
+stores only its neighbour bitmasks, ``LabeledGraph.adj``, which every
+enumerator reads.  The only result kept per graph is the semi-ordered
+counts of ``semi_ordered_counts_by_id``, the monomial coefficients by
+partition id: one inclusion-exclusion count, which reads only ``adj``.  The
 table of ``stable_sets`` is read by the tabloid route and the head/tail
 statistics alone.
 """
@@ -49,16 +50,19 @@ MAX_TYPE_VERTICES = 24
 
 
 class LabeledGraph:
-    """Immutable undirected graph on vertices labeled 1..n, no self-loops."""
+    """Immutable undirected graph on vertices labeled 1..n, no self-loops.
 
-    __slots__ = ("n", "edges", "roles", "_adj")
+    ``adj[v]`` is the bitmask of the neighbours of ``v`` (entry 0 unused).
+    """
+
+    __slots__ = ("n", "edges", "roles", "adj")
 
     def __init__(self, n: int, edges=(), roles=None):
         n = int(n)
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
-        adj = [set() for _ in range(n + 1)]
+        adj = [0] * (n + 1)
         normalized = set()
         for u, v in edges:
             u, v = int(u), int(v)
@@ -67,8 +71,8 @@ class LabeledGraph:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) outside 1..{n}")
             normalized.add((u, v) if u < v else (v, u))
-            adj[u].add(v)
-            adj[v].add(u)
+            adj[u] |= 1 << (v - 1)
+            adj[v] |= 1 << (u - 1)
         self.edges = frozenset(normalized)
         if roles is not None:
             roles = {int(v): str(tag) for v, tag in dict(roles).items()}
@@ -78,27 +82,27 @@ class LabeledGraph:
                 if tag not in ROLE_TAGS:
                     raise ValueError(f"unknown role tag {tag!r}")
         self.roles = roles
-        self._adj = tuple(frozenset(s) for s in adj)
+        self.adj = tuple(adj)
 
     @property
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return bool(self.adj[u] >> (v - 1) & 1)
 
     def neighbors(self, v: int) -> frozenset:
-        return self._adj[v]
+        return frozenset(mask_labels(self.adj[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return self.adj[v].bit_count()
 
     def edge_count(self) -> int:
         return len(self.edges)
 
     def key(self):
-        """Cache key: vertex count plus the sorted edge list under the given labels."""
-        return (self.n, tuple(sorted(self.edges)))
+        """Cache key: vertex count plus the neighbour bitmasks under the given labels."""
+        return (self.n, self.adj)
 
     def role_of(self, v: int) -> str | None:
         return self.roles.get(v) if self.roles else None
@@ -253,7 +257,7 @@ def with_disjoint_path(graph, k: int):
 def is_claw_free(graph) -> bool:
     """True iff no four vertices induce a star K_{1,3}: no vertex has a
     stable 3-set among its neighbours."""
-    adj = adjacency_masks(graph)
+    adj = graph.adj
     return not any(next(stable_masks(adj, adj[v], 3), 0) for v in graph.vertices)
 
 
@@ -267,14 +271,9 @@ def mask_labels(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
 
 
-def adjacency_masks(graph) -> tuple[int, ...]:
-    """Neighbour bitmask of every vertex, indexed by label (entry 0 unused)."""
-    return (0,) + tuple(vertex_mask(graph.neighbors(v)) for v in graph.vertices)
-
-
 def stable_masks(adj, avail: int, size: int):
     """Stable subsets of the vertex bitmask ``avail`` with exactly ``size``
-    vertices, under the neighbour masks ``adj`` of ``adjacency_masks``.
+    vertices, under the neighbour masks ``adj`` of ``LabeledGraph.adj``.
 
     The lowest available vertex is included before it is excluded, so the
     subsets come in the lexicographic order of their sorted label tuples.
@@ -299,9 +298,8 @@ def stable_sets(graph) -> tuple[tuple[int, ...], ...]:
     ``stable_masks`` on that bitmask gives, with no walk per state.  Built
     by n + 1 walks and not cached.
     """
-    adj = adjacency_masks(graph)
     full = (1 << graph.n) - 1
-    return tuple(tuple(stable_masks(adj, full, k)) for k in range(graph.n + 1))
+    return tuple(tuple(stable_masks(graph.adj, full, k)) for k in range(graph.n + 1))
 
 
 def semi_ordered_counts_by_id(graph) -> MappingProxyType:
@@ -323,7 +321,7 @@ def semi_ordered_counts_by_id(graph) -> MappingProxyType:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _types_for(key) -> MappingProxyType:
-    n, edges = key
+    n, adj = key
     if not n:
         return MappingProxyType({0: 1})
     # Part sizes are chosen from the largest stable set down, depth first,
@@ -331,7 +329,7 @@ def _types_for(key) -> MappingProxyType:
     # the s_j of the parts chosen.  Past size k only the coefficients below
     # k are read, so columns are cut to them and equal cuts summed.
     width, field = n + 1, (1 << n + 1) - 1
-    weights = Counter(_independence_polynomials(n, edges))
+    weights = Counter(_independence_polynomials(n, adj))
     columns, levels = list(weights), []
     for k in range((max(columns).bit_length() - 1) // width, 0, -1):
         cuts = {}
@@ -361,11 +359,11 @@ def _types_for(key) -> MappingProxyType:
     return MappingProxyType(counts)
 
 
-def _independence_polynomials(n: int, edges) -> list[int]:
-    """Entry X: the independence polynomial of the subgraph on bitmask X,
-    coefficient k in bits k * (n + 1) up (s_k(X) < 2^n), by I(X) = I(X - v)
-    + x I(X - N[v]), v highest in X, in slices of 2^14; equal ones interned."""
-    adj = adjacency_masks(LabeledGraph(n, edges))
+def _independence_polynomials(n: int, adj) -> list[int]:
+    """Entry X: the independence polynomial of the subgraph on bitmask X of
+    the graph of neighbour masks ``adj``, coefficient k in bits k * (n + 1)
+    up (s_k(X) < 2^n), by I(X) = I(X - v) + x I(X - N[v]), v highest in X,
+    in slices of 2^14; equal ones interned."""
     polys = [1] * (1 << n)
     seen = {}
     for v in range(1, n + 1):
@@ -394,7 +392,7 @@ def count_semi_ordered_stable_partitions(graph, mu) -> int:
 def least_edge_mask(adj) -> int:
     """The least edge bitmask of a graph over all relabelings of its
     vertices, the graph given by the neighbour masks ``adj`` of
-    ``adjacency_masks``.
+    ``LabeledGraph.adj``.
 
     Bit i of an edge bitmask stands for the i-th pair (u, v), u < v, of the
     labels in lexicographic order, so the pairs (k, k+1..n) of label k form
@@ -467,9 +465,8 @@ def connected_graphs(n: int) -> list[LabeledGraph]:
         return [LabeledGraph(n)]
     canons = set()
     for rep in connected_graphs(n - 1):
-        rep_adj = adjacency_masks(rep)
         for joined in range(1, 1 << (n - 1)):
-            adj = [0, *(a | (joined >> (v - 1) & 1) << (n - 1) for v, a in enumerate(rep_adj[1:], 1)), joined]
+            adj = [0, *(a | (joined >> (v - 1) & 1) << (n - 1) for v, a in enumerate(rep.adj[1:], 1)), joined]
             if _last_is_least_non_cut(adj):
                 canons.add(least_edge_mask(adj))
     pairs = list(itertools.combinations(range(1, n + 1), 2))
@@ -482,7 +479,7 @@ def connected_graphs(n: int) -> list[LabeledGraph]:
 def _last_is_least_non_cut(adj) -> bool:
     """Whether no non-cut vertex but the last has a smaller (degree, sorted
     neighbour degrees) than the last vertex, in the graph of the neighbour
-    masks ``adj`` of ``adjacency_masks``."""
+    masks ``adj`` of ``LabeledGraph.adj``."""
     n = len(adj) - 1
     degree = [a.bit_count() for a in adj]
 

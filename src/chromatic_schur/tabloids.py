@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
-from .graphs import LabeledGraph, adjacency_masks, mask_labels, stable_sets, vertex_mask
+from .graphs import LabeledGraph, mask_labels, stable_sets, vertex_mask
 from .partitions import Partition, check_partition, partition_table
 from .records import FrozenRecord
 
@@ -300,7 +300,7 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
         raise ValueError("the shape must end in two parts equal to 1")
     if sum(shape) != graph.n:
         raise ValueError("partition size must equal the vertex count")
-    adj = adjacency_masks(graph)
+    adj = graph.adj
     stable = stable_sets(graph)
     h = _head_rows(shape)
     pend = vertex_mask(pendants)

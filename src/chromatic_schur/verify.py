@@ -9,20 +9,16 @@ Instance evaluation functions are pure and take plain tuples or dicts, so
 suites can fan out over worker processes; results are merged back in the
 canonical instance order regardless of worker count.  The map forks its
 workers itself, at most one per instance and per CPU this process may run
-on.  It cuts the instances into contiguous chunks, about four per worker,
-and deals them round-robin.  Instances come in the order of their
-parameters, so neighbouring instances ask about the same or similar graphs
-and shapes, and a worker that holds a run of them finds its per-graph counts
-and content tables already cached; dealing the chunks round-robin spreads a
-suite whose cost rises along its parameters over every worker.  Each worker
-pickles its results, or the exception it raised, down a pipe and leaves by
-``os._exit``.  There is no executor: importing ``concurrent.futures`` cost
-every process more than all the command line's other imports together,
-though only ``--jobs`` above 1 forks, and importing it only to fork moved
-that cost into the suites that fork.  Forking is safe because the package
-starts no thread.  A report's verdicts are read from its instance records,
-and a suite with a cost budget keeps a skip record in place of each
-instance priced above it.
+on, and deals the instances one at a time: of w workers, worker i takes
+instances i, i + w, i + 2w, ..., so a suite whose cost rises along its
+parameters is spread over every worker.  Each worker pickles its results,
+or the exception it raised, down a pipe and leaves by ``os._exit``.  There
+is no executor: importing ``concurrent.futures`` cost every process more
+than all the command line's other imports together, though only ``--jobs``
+above 1 forks, and importing it only to fork moved that cost into the
+suites that fork.  Forking is safe because the package starts no thread.
+A report's verdicts are read from its instance records, and a suite with a
+cost budget keeps a skip record in place of each instance priced above it.
 """
 
 from __future__ import annotations
@@ -60,9 +56,6 @@ from .tabloids import head_class_sums, pendant_tail_counts
 COEFFICIENT_COST_MS = {9: 1_000, 10: 3_000, 11: 10_000, 12: 30_000, 13: 120_000}
 ENUMERATION_COST_MS = {11: 1_000, 12: 2_000, 13: 5_000, 14: 10_000, 15: 30_000, 16: 80_000}
 DEFAULT_BUDGET_MS = 30_000
-
-# how many contiguous chunks of instances each worker is dealt, about
-CHUNKS_PER_WORKER = 4
 
 
 def nominal_cost_ms(n_vertices: int, kind: str = "coefficient") -> int:
@@ -130,25 +123,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _dealt_chunks(count: int, workers: int) -> list[list[range]]:
-    """Cut ``range(count)`` into contiguous chunks, about ``CHUNKS_PER_WORKER``
-    per worker, and deal them round-robin: worker w takes chunks w,
-    w + workers, w + 2 * workers, ..."""
-    size = -(-count // (CHUNKS_PER_WORKER * workers))
-    chunks = [range(start, min(start + size, count)) for start in range(0, count, size)]
-    return [chunks[w::workers] for w in range(workers)]
-
-
-def _answer(fn, params: list, indices: list, write_fd: int):
-    """In a forked worker: pickle ``fn`` over the instances at ``indices``, or
-    the exception it raised with its traceback, down ``write_fd``, and leave
-    without running any of the parent's cleanup."""
+def _answer(fn, params: list, write_fd: int):
+    """In a forked worker: pickle ``fn`` over ``params``, or the exception it
+    raised with its traceback, down ``write_fd``, and leave without running
+    any of the parent's cleanup."""
     status = 1
     try:
         import pickle
 
         try:
-            answer = (True, [fn(params[i]) for i in indices], None)
+            answer = (True, [fn(p) for p in params], None)
         except Exception as exc:
             import traceback
 
@@ -172,10 +156,9 @@ def _map_instances(fn, params: list, jobs: int) -> list:
     sys.stdout.flush()
     sys.stderr.flush()
     results = [None] * len(params)
-    children = []  # (pid, read end of its pipe, its instance indices), until reaped
+    children = []  # (pid, read end of its pipe, its worker number), until reaped
     try:
-        for chunks in _dealt_chunks(len(params), workers):
-            indices = [i for chunk in chunks for i in chunk]
+        for w in range(workers):
             read_fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -184,11 +167,11 @@ def _map_instances(fn, params: list, jobs: int) -> list:
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _answer(fn, params, indices, write_fd)
+                _answer(fn, params[w::workers], write_fd)
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb"), indices))
+            children.append((pid, os.fdopen(read_fd, "rb"), w))
         while children:
-            pid, pipe, indices = children[0]
+            pid, pipe, w = children[0]
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
@@ -200,8 +183,7 @@ def _map_instances(fn, params: list, jobs: int) -> list:
                 raise RuntimeError(f"suite worker {pid} exited with status {code} without answering") from None
             if not ok:
                 raise payload from RuntimeError(f"in suite worker {pid}:\n{remote}")
-            for i, value in zip(indices, payload):
-                results[i] = value
+            results[w::workers] = payload
     finally:
         if children:
             import signal

@@ -21,7 +21,7 @@ recurrences split on.
 from dataclasses import dataclass
 from functools import lru_cache
 
-from chromatic_schur.graphs import adjacency_masks, mask_labels, stable_masks
+from chromatic_schur.graphs import mask_labels, stable_masks
 from chromatic_schur.partitions import UNDEFINED, Partition, check_partition, partition_table
 from chromatic_schur.tabloids import Cell, TabloidPart, _content_table
 
@@ -204,14 +204,13 @@ def srh_g_tabloids(shape, graph):
     shape = check_partition(shape)
     if sum(shape) != graph.n:
         return
-    adj = adjacency_masks(graph)
 
     def rec(current, remaining, hooks, fills):
         if not current:
             yield SrhGTabloid(shape, tuple(hooks), tuple(fills))
             return
         for hook, reduced in peel_bottom_hooks(current):
-            for group in stable_masks(adj, remaining, hook.length):
+            for group in stable_masks(graph.adj, remaining, hook.length):
                 hooks.append(hook)
                 fills.append(mask_labels(group))
                 yield from rec(reduced, remaining ^ group, hooks, fills)

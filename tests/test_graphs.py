@@ -18,7 +18,6 @@ from chromatic_schur.graphs import (
     SPECIAL_ANCHOR,
     SPECIAL_PENDANT,
     LabeledGraph,
-    adjacency_masks,
     complete_graph,
     connected_graphs,
     count_semi_ordered_stable_partitions,
@@ -29,6 +28,7 @@ from chromatic_schur.graphs import (
     least_edge_mask,
     mask_labels,
     path_graph,
+    semi_ordered_counts_by_id,
     stable_masks,
     star_graph,
     vertex_mask,
@@ -56,6 +56,42 @@ def test_graph_validation():
         LabeledGraph(2, [(1, 3)])
     with pytest.raises(ValueError):
         LabeledGraph(2, [], roles={1: "nonsense"})
+
+
+@st.composite
+def _edges_listed_twice(draw):
+    # a graph's edges, and the same edges in another order and orientation
+    n = draw(st.integers(0, 9))
+    edges = [p for p in itertools.combinations(range(1, n + 1), 2) if draw(st.booleans())]
+    listed = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(listed), max_size=len(listed)))
+    return n, edges, [(v, u) if flip else (u, v) for (u, v), flip in zip(listed, flips)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_edges_listed_twice())
+def test_neighbour_bitmasks_encode_the_edges(case):
+    from chromatic_schur import graphs
+
+    n, edges, listed = case
+    graph, again = LabeledGraph(n, edges), LabeledGraph(n, listed)
+    assert len(graph.adj) == n + 1 and graph.adj[0] == 0
+    for v in graph.vertices:
+        near = {u for e in edges if v in e for u in e if u != v}
+        assert graph.adj[v] == vertex_mask(near)
+        assert graph.neighbors(v) == near
+        assert graph.degree(v) == len(near)
+        assert [graph.adjacent(v, u) for u in graph.vertices] == [u in near for u in graph.vertices]
+    # the key is the masks, so both listings share one cached type count
+    assert again.key() == graph.key()
+    before = graphs._types_for.cache_info()
+    assert semi_ordered_counts_by_id(graph) is semi_ordered_counts_by_id(again)
+    after = graphs._types_for.cache_info()
+    assert after.misses - before.misses <= 1 and after.hits - before.hits >= 1
+    # and adding any one edge changes the key
+    for pair in itertools.combinations(graph.vertices, 2):
+        if pair not in graph.edges:
+            assert LabeledGraph(n, [*edges, pair]).key() != graph.key(), pair
 
 
 def test_net_pendant_first_labels():
@@ -209,9 +245,9 @@ def test_least_edge_mask_matches_every_relabeling():
     assert any(not is_connected(g) for g in graphs)
     for graph in graphs:
         expected = least_edge_mask_by_relabeling(graph)
-        assert least_edge_mask(adjacency_masks(graph)) == expected, graph
+        assert least_edge_mask(graph.adj) == expected, graph
         shuffled = random_relabeling(graph, rng)
-        assert least_edge_mask(adjacency_masks(shuffled)) == expected, shuffled
+        assert least_edge_mask(shuffled.adj) == expected, shuffled
 
 
 @pytest.mark.slow
@@ -247,7 +283,7 @@ def test_census_candidate_rule():
         # a census candidate's last vertex is never a cut vertex
         for v in non_cut:
             last = graph.relabel({**{u: u for u in graph.vertices}, v: n, n: v})
-            assert _last_is_least_non_cut(adjacency_masks(last)) == (invariant[v] == least), (graph, v)
+            assert _last_is_least_non_cut(last.adj) == (invariant[v] == least), (graph, v)
 
 
 def test_stable_partition_counts():
@@ -344,9 +380,7 @@ def _graph_avail_size(n):
 @given(st.integers(1, 9).flatmap(_graph_avail_size))
 def test_stable_sets_by_mask_match_brute_force_in_order(case):
     graph, avail, size = case
-    found = [
-        mask_labels(m) for m in stable_masks(adjacency_masks(graph), vertex_mask(avail), size)
-    ]
+    found = [mask_labels(m) for m in stable_masks(graph.adj, vertex_mask(avail), size)]
     expected = [
         c
         for c in itertools.combinations(sorted(avail), size)

@@ -636,19 +636,19 @@ def test_head_class_sums_match_the_stream():
 def test_stable_set_table_filtered_to_a_mask_is_the_enumeration():
     import random
 
-    from chromatic_schur.graphs import adjacency_masks, stable_masks, stable_sets
+    from chromatic_schur.graphs import stable_masks, stable_sets
     from graph_helpers import random_graph
 
     rng = random.Random(13)
     for _ in range(30):
         graph = random_graph(rng.randint(0, 9), rng, rng.choice((0.0, 0.2, 0.5, 0.8)))
-        adj, stable = adjacency_masks(graph), stable_sets(graph)
+        stable = stable_sets(graph)
         full = (1 << graph.n) - 1
         assert len(stable) == graph.n + 1
         for rem in [full] + [rng.randint(0, full) for _ in range(8)]:
             for k in range(graph.n + 1):
                 kept = [group for group in stable[k] if not group & ~rem]
-                assert kept == list(stable_masks(adj, rem, k)), (graph, rem, k)
+                assert kept == list(stable_masks(graph.adj, rem, k)), (graph, rem, k)
 
 
 def test_peels_build_the_stable_set_table_once(monkeypatch):

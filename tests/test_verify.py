@@ -8,7 +8,6 @@ from chromatic_schur import verify
 from chromatic_schur.graphs import BODY_ROLES, PENDANT_ROLES, generalized_net
 from chromatic_schur.partitions import UNDEFINED
 from chromatic_schur.verify import (
-    CHUNKS_PER_WORKER,
     VerificationReport,
     run_cancellation_check,
     run_f_table_suite,
@@ -202,9 +201,9 @@ def test_report_contract():
 
 
 def test_parallel_jobs_identical(monkeypatch):
-    # two workers even on a one-CPU host; each suite maps at least
-    # 2 * CHUNKS_PER_WORKER instances, so each worker is dealt several chunks
+    # two workers even on a one-CPU host, each dealt every other instance
     monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
+    dealt = _recorded_dealing(monkeypatch, _recorded_forks(monkeypatch))
     for run, size in (
         (run_net_recurrence_suite, 3),
         (run_spider_recurrence_suite, 4),
@@ -213,8 +212,9 @@ def test_parallel_jobs_identical(monkeypatch):
         (run_open_coefficient_report, 5),
     ):
         sequential = run(size, jobs=1)
+        dealt.clear()
         parallel = run(size, jobs=2)
-        assert len(sequential.instances) >= 2 * CHUNKS_PER_WORKER, run.__name__
+        assert dealt and all(workers == 2 for workers in dealt), run.__name__
         assert parallel.instances == sequential.instances, run.__name__
         assert parallel.failures == sequential.failures, run.__name__
 
@@ -295,6 +295,29 @@ def _recorded_forks(monkeypatch) -> list:
     return pids
 
 
+def _recorded_dealing(monkeypatch, forks) -> list:
+    """Map as usual, recording the worker count of each call that forks
+    (after ``_recorded_forks``), and check that of w workers, worker i was
+    dealt exactly the instances ``range(i, count, w)``."""
+    dealt = []
+    map_instances = verify._map_instances
+
+    def recorded(fn, params, jobs):
+        first = len(forks)
+        answers = map_instances(lambda p: (os.getpid(), fn(p)), params, jobs)
+        # a serial map answers every instance in this process
+        workers = forks[first:] or [os.getpid()]
+        for w, pid in enumerate(workers):
+            mine = [i for i, (answered_by, _) in enumerate(answers) if answered_by == pid]
+            assert mine == list(range(w, len(params), len(workers)))
+        if len(forks) > first:
+            dealt.append(len(workers))
+        return [value for _, value in answers]
+
+    monkeypatch.setattr(verify, "_map_instances", recorded)
+    return dealt
+
+
 def _assert_reaped(pids):
     for pid in pids:
         with pytest.raises(ChildProcessError):
@@ -302,23 +325,10 @@ def _assert_reaped(pids):
 
 
 def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
-    dealt = []
-    deal = verify._dealt_chunks
-
-    def recorded(count, workers):
-        per_worker = deal(count, workers)
-        chunks = sorted((c for mine in per_worker for c in mine), key=lambda c: c.start)
-        # about four contiguous chunks per worker, and never one per instance
-        # once there are more than four per worker
-        assert min(count, 2 * workers) <= len(chunks) <= CHUNKS_PER_WORKER * workers
-        assert [i for c in chunks for i in c] == list(range(count))
-        # dealt round-robin, so a rising-cost sweep spreads over every worker
-        assert all(mine == chunks[w::workers] for w, mine in enumerate(per_worker))
-        dealt.append(workers)
-        return per_worker
-
-    monkeypatch.setattr(verify, "_dealt_chunks", recorded)
+    # worker w is dealt instances w, w + workers, ..., so a rising-cost
+    # sweep spreads over every worker
     forks = _recorded_forks(monkeypatch)
+    dealt = _recorded_dealing(monkeypatch, forks)
     sequential = run_net_recurrence_suite(2, jobs=1)
     bounded = run_net_recurrence_suite(2, jobs=10_000)
     assert all(w <= verify._usable_cpus() and w <= len(bounded.instances) for w in dealt)
@@ -332,11 +342,11 @@ def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
     assert dealt == [2]
     assert pooled.instances == run_open_coefficient_report(4, jobs=1, budget_ms=600).instances
     assert [i["status"] for i in pooled.instances] == ["report"] * 3 + ["skip", "skip", "report"]
-    # 59 instances over two workers go out as eight chunks of up to eight
+    # 59 instances over two workers, every other one each
     dealt.clear()
-    chunked = run_net_recurrence_suite(4, jobs=2)
+    dealt_out = run_net_recurrence_suite(4, jobs=2)
     assert dealt == [2]
-    assert chunked.instances == run_net_recurrence_suite(4, jobs=1).instances
+    assert dealt_out.instances == run_net_recurrence_suite(4, jobs=1).instances
     _assert_reaped(forks)
 
 
