@@ -96,18 +96,6 @@ def parse_partition_text(text: str):
     return check_partition(parts)
 
 
-SUITE_COMMANDS = (
-    "net-rec",
-    "spider-rec",
-    "structure",
-    "singleton-removal",
-    "cancel",
-    "positivity",
-    "f-table",
-    "open-coeffs",
-)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chromatic-schur",
@@ -133,45 +121,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help=GRAPH_SHORTHAND_HELP)
     p.add_argument("--method", choices=METHODS, default=GROUPED)
 
-    p = sub.add_parser("net-rec", help="verify the net coefficient recurrence")
-    p.add_argument("--n-max", type=int, default=4)
-    p.set_defaults(run=lambda a: [run_net_recurrence_suite(a.n_max, jobs=a.jobs)])
+    for command, help_text, option, default, run in SUITES:
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(run=run, bound=default)
+        if option is not None:  # the default comes from set_defaults
+            p.add_argument(option, dest="bound", metavar=option[2:].replace("-", "_").upper(), type=int)
 
-    p = sub.add_parser("spider-rec", help="verify the spider coefficient recurrence")
-    p.add_argument("--n-max", type=int, default=3)
-    p.set_defaults(run=lambda a: [run_spider_recurrence_suite(a.n_max, jobs=a.jobs)])
-
-    p = sub.add_parser("structure", help="verify coefficient support and tail-content claims")
-    p.add_argument("--bound", type=int, default=8)
-    p.set_defaults(run=lambda a: [run_structure_suite(a.bound, jobs=a.jobs)])
-
-    p = sub.add_parser("singleton-removal", help="verify the isolated-vertex row trade on nets")
-    p.add_argument("--bound", type=int, default=5)
-    p.set_defaults(run=lambda a: [run_singleton_removal_suite(a.bound, jobs=a.jobs)])
-
-    p = sub.add_parser("cancel", help="verify signed cancellation of head groups")
+    p = sub.choices["cancel"]
     p.add_argument("--graph", help=GRAPH_SHORTHAND_HELP)
     p.add_argument("--partition", help="shape, e.g. 2,1,1,1,1")
     p.add_argument("--pendants", help="comma-separated pendant labels (default: pendant roles)")
     p.add_argument("--body", help="comma-separated body labels (default: anchor/buoy roles)")
-    p.set_defaults(run=_cancel_reports)
-
-    p = sub.add_parser("positivity", help="verify net Schur-positivity, claw as control")
-    p.add_argument("--n-max", type=int, default=4)
-    p.set_defaults(run=lambda a: [run_positivity_sweep(a.n_max, jobs=a.jobs, budget_ms=a.budget_ms)])
-
-    p = sub.add_parser("f-table", help="tabulate f(C,D) and verify its identities")
-    p.add_argument("--bound", type=int, default=6)
-    p.set_defaults(run=lambda a: [run_f_table_suite(a.bound, jobs=a.jobs)])
-
-    p = sub.add_parser("open-coeffs", help="report the three open spider coefficient families")
-    p.add_argument("--n-max", type=int, default=3)
-    p.set_defaults(
-        run=lambda a: [run_open_coefficient_report(a.n_max, jobs=a.jobs, budget_ms=a.budget_ms)]
-    )
 
     p = sub.add_parser("all", help="run every suite at its default bounds")
-    p.set_defaults(run=_all_reports)
+    p.set_defaults(run=_all_reports, bound=None)
 
     return parser
 
@@ -278,8 +241,10 @@ def _labels_arg(text: str) -> frozenset:
     return frozenset(int(v) for v in text.split(",") if v.strip())
 
 
-def _cancel_reports(args) -> list[VerificationReport]:
-    if (args.graph is None) != (args.partition is None):
+def _cancel_reports(args, _bound) -> list[VerificationReport]:
+    # under `all` the arguments carry no instance options: the default instances run
+    graph_text, partition_text = getattr(args, "graph", None), getattr(args, "partition", None)
+    if (graph_text is None) != (partition_text is None):
         raise ValueError("cancel needs both --graph and --partition, or neither")
 
     def instance(graph, lam, label, pendants=None, body=None):
@@ -292,15 +257,15 @@ def _cancel_reports(args) -> list[VerificationReport]:
             label,
         )
 
-    if args.graph is not None:
-        graph = parse_graph_shorthand(args.graph)
-        lam = parse_partition_text(args.partition)
+    if graph_text is not None:
+        graph = parse_graph_shorthand(graph_text)
+        lam = parse_partition_text(partition_text)
         cost = nominal_cost_ms(graph.n, kind="enumeration")
         if cost > args.budget_ms:
             raise ValueError(
-                f"cancel on {args.graph}: nominal cost {cost} ms exceeds --budget-ms {args.budget_ms}"
+                f"cancel on {graph_text}: nominal cost {cost} ms exceeds --budget-ms {args.budget_ms}"
             )
-        runs = [instance(graph, lam, args.graph, args.pendants, args.body)]
+        runs = [instance(graph, lam, graph_text, args.pendants, args.body)]
     else:
         runs = [
             instance(generalized_net(n, n, "pendant_first"), lam, f"GN({n},{n})")
@@ -309,15 +274,32 @@ def _cancel_reports(args) -> list[VerificationReport]:
     return [run_cancellation_check(g, lam, p, b, label=label) for g, lam, p, b, label in runs]
 
 
-def _all_reports(args) -> list[VerificationReport]:
-    """Every suite at its default bounds, under the given --jobs and --budget-ms."""
-    parser = _build_parser()
-    reports = []
-    for command in SUITE_COMMANDS:
-        argv = ["--jobs", str(args.jobs), "--budget-ms", str(args.budget_ms), command]
-        suite_args = parser.parse_args(argv)
-        reports += suite_args.run(suite_args)
-    return reports
+# The suite commands, in the order `all` runs them: command, help, bound
+# option and its default (None for cancel, whose instance options
+# `_build_parser` adds), and the runner from parsed arguments and bound to
+# reports.
+SUITES = (
+    ("net-rec", "verify the net coefficient recurrence", "--n-max", 4,
+     lambda a, bound: [run_net_recurrence_suite(bound, jobs=a.jobs)]),
+    ("spider-rec", "verify the spider coefficient recurrence", "--n-max", 3,
+     lambda a, bound: [run_spider_recurrence_suite(bound, jobs=a.jobs)]),
+    ("structure", "verify coefficient support and tail-content claims", "--bound", 8,
+     lambda a, bound: [run_structure_suite(bound, jobs=a.jobs)]),
+    ("singleton-removal", "verify the isolated-vertex row trade on nets", "--bound", 5,
+     lambda a, bound: [run_singleton_removal_suite(bound, jobs=a.jobs)]),
+    ("cancel", "verify signed cancellation of head groups", None, None, _cancel_reports),
+    ("positivity", "verify net Schur-positivity, claw as control", "--n-max", 4,
+     lambda a, bound: [run_positivity_sweep(bound, jobs=a.jobs, budget_ms=a.budget_ms)]),
+    ("f-table", "tabulate f(C,D) and verify its identities", "--bound", 6,
+     lambda a, bound: [run_f_table_suite(bound, jobs=a.jobs)]),
+    ("open-coeffs", "report the three open spider coefficient families", "--n-max", 3,
+     lambda a, bound: [run_open_coefficient_report(bound, jobs=a.jobs, budget_ms=a.budget_ms)]),
+)
+
+
+def _all_reports(args, _bound) -> list[VerificationReport]:
+    """Every suite at its default bound, under the given --jobs and --budget-ms."""
+    return [report for *_, default, run in SUITES for report in run(args, default)]
 
 
 def main(argv=None) -> int:
@@ -336,7 +318,7 @@ def main(argv=None) -> int:
             else:
                 print(_vector_text(vec))
             return 0
-        reports = args.run(args)
+        reports = args.run(args, args.bound)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

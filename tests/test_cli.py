@@ -282,6 +282,28 @@ def test_all_runs_every_suite(capsys, monkeypatch, jobs):
     )
 
 
+def test_all_matches_the_suite_commands_one_at_a_time(capsys):
+    # `all` is the eight suite commands at their defaults, concatenated in order
+    def reports(*argv):
+        code, out, _ = run_cli(capsys, "--jobs", "1", "--format", "json", *argv)
+        assert code == 0, argv
+        return json.loads(out)["reports"]
+
+    one_at_a_time = []
+    for command in (
+        "net-rec",
+        "spider-rec",
+        "structure",
+        "singleton-removal",
+        "cancel",
+        "positivity",
+        "f-table",
+        "open-coeffs",
+    ):
+        one_at_a_time += reports(command)
+    assert reports("all") == one_at_a_time
+
+
 @pytest.mark.slow
 def test_expand_json_digests(capsys):
     # the same bytes the tabloid route gave when it was the default
