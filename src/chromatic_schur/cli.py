@@ -15,7 +15,7 @@ import sys
 
 from .coefficients import GROUPED, METHODS, schur_expansion
 from .graphs import (
-    NET_LABELINGS,
+    PENDANT_FIRST,
     PENDANT_ROLES,
     BODY_ROLES,
     LabeledGraph,
@@ -59,12 +59,7 @@ def parse_graph_shorthand(text: str) -> LabeledGraph:
     parts = text.replace(" ", "").split("+")
     base = parts[0]
     if m := _GN_RE.match(base):
-        n, pend, labeling = int(m.group(1)), int(m.group(2)), m.group(3)
-        if labeling is None:
-            labeling = "pendant_first"
-        if labeling not in NET_LABELINGS:
-            raise ValueError(f"unknown net labeling {labeling!r}")
-        graph = generalized_net(n, pend, labeling)
+        graph = generalized_net(int(m.group(1)), int(m.group(2)), m.group(3) or PENDANT_FIRST)
     elif m := _GS_RE.match(base):
         legs = tuple(int(p) for p in m.group(2).split(",") if p)
         graph = generalized_spider(int(m.group(1)), legs)
@@ -268,7 +263,7 @@ def _cancel_reports(args, _bound) -> list[VerificationReport]:
         runs = [instance(graph, lam, graph_text, args.pendants, args.body)]
     else:
         runs = [
-            instance(generalized_net(n, n, "pendant_first"), lam, f"GN({n},{n})")
+            instance(generalized_net(n, n, PENDANT_FIRST), lam, f"GN({n},{n})")
             for n, lam in ((3, (2, 1, 1, 1, 1)), (4, (2, 1, 1, 1, 1, 1, 1)))
         ]
     return [run_cancellation_check(g, lam, p, b, label=label) for g, lam, p, b, label in runs]

@@ -8,21 +8,33 @@
              needed subdiagram;
 ``oracle``   applies the inverse by back-substitution through Kostka numbers.
 
-All three must agree on every input; the test suite enforces this.  They are
-not wholly independent.  Grouped and oracle share the monomial expansion,
-one inclusion-exclusion count in ``graphs`` that reads only the neighbour
-bitmasks ``LabeledGraph.adj``; its semi-ordered counts, read-only per graph
-and keyed by the partition ids of ``partitions.partition_table``, are the
-only cache keyed by graph.  The tabloid route alone reads stable sets, from the
-table of ``graphs.stable_sets``, which the tests check against the bitmask
+All three must agree on every input.  The tests compare all three, one
+coefficient at a time, up to 10 vertices:
+``test_method_agreement_small_sweep`` and acceptance criterion 8 up to 6,
+and the extended sweep of the 6-vertex census, 7-vertex samples, GN(5,5) and
+P(10); so grouped and oracle, and tabloid and oracle, meet up to 10
+vertices.  ``test_principal_specialization`` checks each route alone, also
+up to 10.  Grouped and tabloid also meet up to 12
+(``test_signed_g_tabloid_counts_equal_the_grouped_route``).  Beyond that the
+grouped route is checked alone, at 16 to 20 vertices
+(``test_principal_specialization_at_the_frontier``): principal
+specialization against closed-form chromatic polynomials, and sum c_lambda
+f^lambda = n!.
+
+The routes are not wholly independent.  Grouped and oracle share the
+monomial expansion, one inclusion-exclusion count in ``graphs`` that reads
+only the neighbour bitmasks ``LabeledGraph.adj``; its semi-ordered counts,
+read-only per graph and keyed by the partition ids of
+``partitions.partition_table``, are the only cache keyed by graph.  The
+tabloid route alone reads stable sets, from the table of
+``graphs.stable_sets``, which the tests check against the bitmask
 enumerator, and that against brute force.  Grouped and tabloid, and the
 suites' head/tail statistics, peel rim hooks with one arithmetic peel,
 ``tabloids.bottom_hooks``; the tests check it against a cell peel of their
 own, and that against a brute-force tiler.  The grouped route dots the
 counts, id against id, with the shape's signed content table and builds no
 ``CoefficientVector`` and no hook cells.  Every tabloid memo lives for one
-call.  The principal-specialization tests share no code with any
-route.
+call.  The principal-specialization tests share no code with any route.
 """
 
 from __future__ import annotations

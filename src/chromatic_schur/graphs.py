@@ -11,7 +11,9 @@ enumerator reads.  The only result kept per graph is the semi-ordered
 counts of ``semi_ordered_counts_by_id``, the monomial coefficients by
 partition id: one inclusion-exclusion count, which reads only ``adj``.  The
 table of ``stable_sets`` is read by the tabloid route and the head/tail
-statistics alone.
+statistics alone.  Nets are the spiders whose legs are single pendants, and
+one builder, memoized on its arguments, makes both: the second cache kept
+per process, so each distinct net or spider is built once and shared.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ PENDANT_FIRST = "pendant_first"
 PENDANT_LAST = "pendant_last"
 NET_LABELINGS = (PENDANT_FIRST, PENDANT_LAST)
 
-# how many graphs, by graph.key(), each per-graph cache keeps
+# how many graphs each per-process cache keeps: the type counts by
+# graph.key(), and the net and spider builder's graphs by its arguments
 GRAPH_CACHE_SIZE = 256
 
 # the most vertices of a stable-partition type count, one 8-byte slot per
@@ -74,14 +77,13 @@ class LabeledGraph:
             adj[u] |= 1 << (v - 1)
             adj[v] |= 1 << (u - 1)
         self.edges = frozenset(normalized)
-        if roles is not None:
-            roles = {int(v): str(tag) for v, tag in dict(roles).items()}
-            for v, tag in roles.items():
-                if not 1 <= v <= n:
-                    raise ValueError(f"role for unknown vertex {v}")
-                if tag not in ROLE_TAGS:
-                    raise ValueError(f"unknown role tag {tag!r}")
-        self.roles = roles
+        roles = {int(v): str(tag) for v, tag in dict(roles or {}).items()}
+        for v, tag in roles.items():
+            if not 1 <= v <= n:
+                raise ValueError(f"role for unknown vertex {v}")
+            if tag not in ROLE_TAGS:
+                raise ValueError(f"unknown role tag {tag!r}")
+        self.roles = roles or None  # no roles, given as None or as {}, is stored as None
         self.adj = tuple(adj)
 
     @property
@@ -161,7 +163,8 @@ def star_graph(leaf_count: int) -> LabeledGraph:
 
 def generalized_net(n: int, m: int, labeling: str = PENDANT_FIRST):
     """Complete graph on ``n`` body vertices with ``m`` degree-one pendants
-    attached to distinct body vertices; UNDEFINED when m exceeds n.
+    attached to distinct body vertices: the generalized spider with ``m``
+    legs of length 1.  UNDEFINED when m exceeds n.
 
     pendant_first: pendants 1..m, anchors m+1..2m (anchor m+i holds pendant i),
     buoys 2m+1..n+m.  pendant_last: buoys 1..n-m, anchors n-m+1..n (anchor i
@@ -173,22 +176,8 @@ def generalized_net(n: int, m: int, labeling: str = PENDANT_FIRST):
     n, m = int(n), int(m)
     if n < 0 or m < 0 or m > n:
         return UNDEFINED
-    if labeling == PENDANT_FIRST:
-        pendants = range(1, m + 1)
-        anchors = range(m + 1, 2 * m + 1)
-        buoys = range(2 * m + 1, n + m + 1)
-        body = range(m + 1, n + m + 1)
-    else:
-        buoys = range(1, n - m + 1)
-        anchors = range(n - m + 1, n + 1)
-        pendants = range(n + 1, n + m + 1)
-        body = range(1, n + 1)
-    edges = list(itertools.combinations(body, 2))
-    edges += [(p, a) for p, a in zip(pendants, anchors)]
-    roles = {v: PENDANT for v in pendants}
-    roles.update((v, ANCHOR) for v in anchors)
-    roles.update((v, BUOY) for v in buoys)
-    return LabeledGraph(n + m, edges, roles)
+    starts = (1, m + 1, 2 * m + 1) if labeling == PENDANT_FIRST else (n + 1, n - m + 1, 1)
+    return _family_graph(n, (1,) * m, *starts)
 
 
 def generalized_spider(n: int, legs):
@@ -206,33 +195,27 @@ def generalized_spider(n: int, legs):
     n = int(n)
     if n < 0 or len(legs) > n:
         return UNDEFINED
-    special = bool(legs) and legs[0] == 2 and all(p == 1 for p in legs[1:])
-    pend_total = sum(legs)
-    edges = []
-    roles = {}
-    leg_labels = []
-    label = 1
-    for idx, length in enumerate(legs):
-        labels = list(range(label, label + length))  # far end first
-        label += length
-        leg_labels.append(labels)
-        edges += [(labels[i], labels[i + 1]) for i in range(length - 1)]
-        if length == 1:
-            roles[labels[0]] = PENDANT
-        elif special and idx == 0:
-            roles[labels[0]] = SPECIAL_PENDANT
-            roles[labels[1]] = PENDANT
+    return _family_graph(n, legs, 1, sum(legs) + 1, sum(legs) + len(legs) + 1)
+
+
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _family_graph(n: int, legs: tuple, leg_start: int, anchor_start: int, buoy_start: int):
+    """The spider on an ``n``-clique body with legs of lengths ``legs``: leg
+    vertices from ``leg_start`` up, leg by leg and each from its far end,
+    anchors from ``anchor_start`` up in leg order, buoys from ``buoy_start`` up."""
+    special = legs[:1] == (2,) and all(p == 1 for p in legs[1:])
+    anchors = range(anchor_start, anchor_start + len(legs))
+    buoys = range(buoy_start, buoy_start + n - len(legs))
+    edges = list(itertools.combinations([*anchors, *buoys], 2))
+    roles = dict.fromkeys(buoys, BUOY)
+    for start, length, a in zip(itertools.accumulate(legs, initial=leg_start), legs, anchors):
+        leg = range(start, start + length)  # far end first
+        edges += zip(leg, [*leg[1:], a])  # the path from the far end to the anchor
+        if special and length == 2:  # the long leg of (2, 1, ..., 1)
+            roles |= {leg[0]: SPECIAL_PENDANT, leg[1]: PENDANT, a: SPECIAL_ANCHOR}
         else:
-            roles.update((v, LEG) for v in labels)
-    anchors = range(pend_total + 1, pend_total + len(legs) + 1)
-    for idx, (labels, a) in enumerate(zip(leg_labels, anchors)):
-        edges.append((labels[-1], a))  # inner end of the leg meets its anchor
-        roles[a] = SPECIAL_ANCHOR if special and idx == 0 else ANCHOR
-    buoys = range(pend_total + len(legs) + 1, pend_total + n + 1)
-    roles.update((v, BUOY) for v in buoys)
-    body = range(pend_total + 1, pend_total + n + 1)
-    edges += itertools.combinations(body, 2)
-    return LabeledGraph(n + pend_total, edges, roles)
+            roles |= dict.fromkeys(leg, PENDANT if length == 1 else LEG) | {a: ANCHOR}
+    return LabeledGraph(n + sum(legs), edges, roles)
 
 
 def with_disjoint_path(graph, k: int):

@@ -341,7 +341,7 @@ def run_structure_suite(bound: int, jobs: int = 1) -> VerificationReport:
         if lam[-1] == 1
     ]
     spider_tail_params = [
-        ("spider", n, m, "pendant_first", lam)
+        ("spider", n, m, PENDANT_FIRST, lam)
         for n in range(3, bound + 1)
         for m in range(1, n + 1)
         if n + m + 1 <= min(bound, 7)

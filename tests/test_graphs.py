@@ -156,10 +156,45 @@ def test_spider_special_family_labels():
     assert g.adjacent(2, 4)
     assert g.degree(1) == 1
     validate_roles(g)
+    # and only the one-long-leg family has special roles
+    for legs in partitions_of(5):
+        special = generalized_spider(5, legs).labels_with_role(SPECIAL_PENDANT, SPECIAL_ANCHOR)
+        assert bool(special) == (legs[:1] == (2,) and set(legs[1:]) <= {1}), legs
 
 
 def test_spider_net_family_matches_net_labels():
-    assert generalized_spider(4, (1, 1)) == generalized_net(4, 2, PENDANT_FIRST)
+    # nets are the unit-leg spiders, and the pendant-last net is a relabeling
+    for n in range(11):
+        for m in range(n + 1):
+            first = generalized_net(n, m, PENDANT_FIRST)
+            spider = generalized_spider(n, (1,) * m)
+            assert first == spider and first.adj == spider.adj, (n, m)
+            # pendant i -> n+i, anchor m+i -> n-m+i, buoy 2m+j -> j; equality
+            # compares roles too
+            perm = {i: n + i for i in range(1, m + 1)}
+            perm.update((m + i, n - m + i) for i in range(1, m + 1))
+            perm.update((2 * m + j, j) for j in range(1, n - m + 1))
+            moved, last = first.relabel(perm), generalized_net(n, m, PENDANT_LAST)
+            assert moved == last and moved.adj == last.adj, (n, m)
+
+
+def test_family_graphs_are_built_once_per_process():
+    from chromatic_schur import graphs
+    from chromatic_schur.verify import run_f_table_suite, run_net_recurrence_suite, run_spider_recurrence_suite
+
+    graphs._family_graph.cache_clear()
+    run_net_recurrence_suite(6)
+    run_spider_recurrence_suite(5)
+    run_f_table_suite(7)
+    info = graphs._family_graph.cache_info()
+    # one miss per distinct argument tuple, and every repeat a hit
+    assert info.maxsize == graphs.GRAPH_CACHE_SIZE
+    assert info.misses == info.currsize < info.maxsize and info.hits > info.misses
+    run_net_recurrence_suite(6)
+    assert graphs._family_graph.cache_info().misses == info.misses
+    assert generalized_net(4, 2, PENDANT_LAST) is generalized_net(4, 2, PENDANT_LAST)
+    assert generalized_spider(3, [2, 1]) is generalized_spider(3, (2, 1))
+    assert generalized_net(3, 3) is generalized_spider(3, (1, 1, 1))
 
 
 def test_with_disjoint_path():
@@ -425,5 +460,8 @@ def test_connected_graph_census():
 
 
 def test_graph_json_roundtrip():
-    g = generalized_net(3, 1)
-    assert LabeledGraph.from_json_dict(g.to_json_dict()) == g
+    # empty roles, given as {} or None, are one value: None
+    assert LabeledGraph(2, [(1, 2)], {}).roles is None
+    for g in (generalized_net(3, 1), generalized_net(0, 0), LabeledGraph(2, [(1, 2)], {})):
+        assert LabeledGraph.from_json_dict(g.to_json_dict()) == g
+        assert g.relabel({v: v for v in g.vertices}) == g
