@@ -273,18 +273,20 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
     return total, only_pendants if h < len(shape) else 0
 
 
-# how far a hook prefix has met the cancellation selection
+# how far a hook prefix has met the cancellation selection; the bottom cell
+# and the cell above it settle it, so _SELECTED and _REJECTED are final
 _START, _SELECTED, _PENDING, _REJECTED = range(4)
 
 
-def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
+def head_class_sums(shape, graph: LabeledGraph, pendants) -> dict:
     """Group the SRH G-tabloids of ``shape`` by head part and return
     ``{head: [signed selected sum, selected count, class size]}``.
 
     A tabloid is selected when its bottom cell holds a pendant not adjacent
-    to the vertex in the cell above it, and each hook holds at most one body
-    vertex among its tail cells.  The shape must end in two parts equal to 1
-    and have the graph's vertex count as its size.
+    to the vertex in the cell above it.  The shape must end in two parts
+    equal to 1 and have the graph's vertex count as its size.  On a
+    generalized net each hook, a stable set, holds at most one vertex of the
+    clique body, so the selection needs no rule on body vertices.
 
     Hook prefixes are peeled forward and summed per selection status by
     (subdiagram, remaining bitmask, head part of the crossing hook).  The
@@ -304,24 +306,21 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
     stable = stable_sets(graph)
     h = _head_rows(shape)
     pend = vertex_mask(pendants)
-    bod = vertex_mask(body)
     full = (1 << graph.n) - 1
     hook_cells = lru_cache(maxsize=None)(_hook_cells)
 
-    def step(status, group, length, j, rem):
-        # the status after a hook that puts ``group`` in the diagram with
-        # ``j`` tail cells, peeled from a state with ``rem`` remaining
-        if status == _REJECTED or (_low_bits(group, j) & bod).bit_count() > 1:
-            return _REJECTED
+    def step(status, group, length, rem):
+        # the status after a hook that puts ``group`` in the diagram, peeled
+        # from a state with ``rem`` remaining
+        if status in (_SELECTED, _REJECTED):
+            return status
         least = group & -group
         if status == _START:
             if not least & pend:
                 return _REJECTED
             return _PENDING if length == 1 else _SELECTED
         # a pending bottom vertex is the only one taken so far
-        if status == _PENDING and adj[(full ^ rem).bit_length()] & least:
-            return _REJECTED
-        return _SELECTED
+        return _REJECTED if adj[(full ^ rem).bit_length()] & least else _SELECTED
 
     head_memo: dict = {}
 
@@ -370,7 +369,7 @@ def head_class_sums(shape, graph: LabeledGraph, pendants, body) -> dict:
                     crossing = ((head_cells, mask_labels(group)[j:]),) if head_cells else ()
                     after = by[size - length].setdefault((reduced, rem ^ group, crossing), {})
                     for status, (count, signed) in statuses.items():
-                        acc = after.setdefault(step(status, group, length, j, rem), [0, 0])
+                        acc = after.setdefault(step(status, group, length, rem), [0, 0])
                         acc[0] += count
                         acc[1] += sign * signed
         by[size] = None

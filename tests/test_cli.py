@@ -97,14 +97,30 @@ def test_expand_oversized_graph_exit_2(capsys):
 
 def test_expand_tabloid_route_oversized_graph_exit_2(capsys):
     # the tabloid route's DP reaches up to 2^n remaining-vertex sets, so it
-    # refuses 20 vertices before it builds its stable-set table, and 60
-    # before the partitions of the vertex count are listed
-    for graph, n in (("GN(10,10)", 20), ("GN(30,30)", 60)):
+    # refuses 20 vertices before it builds its stable-set table; GN(30,30)
+    # is refused by the shorthand bound before any graph is built
+    for graph, message in (
+        ("GN(10,10)", "20 vertices exceed the cap of 18 on the tabloid route"),
+        ("GN(30,30)", "30 in 'GN(30,30)' exceeds 24"),
+    ):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "expand", "--graph", graph, "--method", "tabloid")
         assert time.perf_counter() - started < 1, graph
         assert code == 2 and out == ""
-        assert f"{n} vertices exceed the cap of 18 on the tabloid route" in err
+        assert message in err
+
+
+def test_shorthand_numbers_are_bounded_before_the_graph_is_built(capsys):
+    # a number above 24 alone puts the graph past every route's cap; a path
+    # on 200000 vertices would take gigabytes of adjacency masks to build,
+    # and 5000 digits are past the interpreter's limit for int()
+    for number in ("200000", "9" * 5000):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "expand", "--graph", f"P({number})")
+        assert time.perf_counter() - started < 1
+        assert code == 2 and out == ""
+        assert f"{number} in 'P({number})' exceeds 24" in err
+    assert parse_graph_shorthand("P(0024)").n == 24
 
 
 def test_f_table_text(capsys):
@@ -238,12 +254,24 @@ def test_cancel_mis_sized_shape_exit_2(capsys):
         assert code == 2 and out == "" and "size" in err
 
 
-def test_cancel_explicit_empty_sets_exit_2(capsys):
-    # an empty list is the empty set, which does not partition the vertices
-    code, out, err = run_cli(
-        capsys, "cancel", "--graph", "GN(3,3)", "--partition", "2,1,1,1,1", "--pendants=", "--body="
-    )
-    assert code == 2 and out == "" and "partition" in err
+def test_cancel_outside_its_hypothesis_exit_2(capsys):
+    # the claim holds for pendant-first nets; a pendant-last net, a net
+    # with an isolated vertex and a spider are refused before any work, and
+    # the pendant and body sets are no longer options
+    for graph, shape in (
+        ("GN(3,3):pendant_last", "2,1,1,1,1"),
+        ("GN(3,2)+P1", "2,1,1,1,1"),
+        ("GS(4,[2,1,1])", "2,2,1,1,1,1"),
+    ):
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, "--format", "json", "cancel", "--graph", graph, "--partition", shape)
+        assert time.perf_counter() - started < 1, graph
+        assert code == 2 and out == "", graph
+        assert "pendant-first generalized net" in err
+    with pytest.raises(SystemExit) as exited:
+        main(["cancel", "--graph", "GN(3,3)", "--partition", "2,1,1,1,1", "--pendants=", "--body="])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --pendants= --body=" in capsys.readouterr().err
 
 
 def test_json_reports_byte_identical(capsys):
@@ -356,7 +384,7 @@ def test_settable_option_count_is_pinned():
                 total += 1
         return total
 
-    assert count(_build_parser()) == 17
+    assert count(_build_parser()) == 15
 
 
 def test_csv_rows(capsys):

@@ -77,6 +77,27 @@ def test_spider_recurrence_wider():
     assert report.passed and report.instances_checked == 123
 
 
+def test_cancellation_on_every_pendant_first_net_up_to_nine_vertices():
+    # the claim's hypothesis in full up to 9 vertices: every net GN(b,p)
+    # with p <= b, at every shape ending in (1,1)
+    from chromatic_schur.graphs import BODY_ROLES
+    from chromatic_schur.verify import run_cancellation_check
+
+    checked = 0
+    for n in range(1, 10):
+        for m in range(0, min(n, 9 - n) + 1):
+            graph = generalized_net(n, m)
+            pendants = graph.labels_with_role(*PENDANT_ROLES)
+            body = graph.labels_with_role(*BODY_ROLES)
+            for lam in partitions_of(n + m):
+                if lam[-2:] != (1, 1):
+                    continue
+                report = run_cancellation_check(graph, lam, pendants, body)
+                assert report.passed, (n, m, lam)
+                checked += 1
+    assert checked == 197
+
+
 def test_cancellation_with_two_row_head():
     # the shape family (2,2,1^k) of the 12-vertex GN(6,6) cancel instance in
     # test_cli, scaled to stay fast
