@@ -47,7 +47,7 @@ from .partitions import (
     sort_to_partition,
     strip_trailing_ones,
 )
-from .tableaux import kostka_number, monomial_to_schur
+from .tableaux import monomial_to_schur
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "generalized_spider",
     "is_claw_free",
     "is_schur_positive",
-    "kostka_number",
     "monomial_to_schur",
     "partitions_of",
     "path_graph",

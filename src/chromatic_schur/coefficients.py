@@ -6,7 +6,8 @@
 ``tabloid``  sums G-tabloid signs directly, by a DP filled bottom-up with
              one state per remaining-vertex bitmask that holds every
              needed subdiagram;
-``oracle``   applies the inverse by back-substitution through Kostka numbers.
+``oracle``   applies the inverse by back-substitution through Kostka numbers,
+             up to ``tableaux.MAX_ORACLE_VERTICES`` (22) vertices.
 
 All three must agree on every input.  The tests compare all three, one
 coefficient at a time, up to 10 vertices:
@@ -14,9 +15,11 @@ coefficient at a time, up to 10 vertices:
 and the extended sweep of the 6-vertex census, 7-vertex samples, GN(5,5) and
 P(10); so grouped and oracle, and tabloid and oracle, meet up to 10
 vertices.  ``test_principal_specialization`` checks each route alone, also
-up to 10.  Grouped and tabloid also meet up to 12
-(``test_signed_g_tabloid_counts_equal_the_grouped_route``).  Beyond that the
-grouped route is checked alone, at 16 to 20 vertices
+up to 10.  Grouped and tabloid meet up to 12
+(``test_signed_g_tabloid_counts_equal_the_grouped_route``), grouped and
+oracle at 16 and 17 (``test_expand_json_digests``) and at 22 in CI.  A
+power-sum expansion meets all three on the 6-vertex census, and grouped on
+the 7-vertex census and GN(6,6).  Grouped is also checked alone, 16 to 20
 (``test_principal_specialization_at_the_frontier``): principal
 specialization against closed-form chromatic polynomials, and sum c_lambda
 f^lambda = n!.
@@ -34,7 +37,8 @@ suites' head/tail statistics, peel rim hooks with one arithmetic peel,
 own, and that against a brute-force tiler.  The grouped route dots the
 counts, id against id, with the shape's signed content table and builds no
 ``CoefficientVector`` and no hook cells.  Every tabloid memo lives for one
-call.  The principal-specialization tests share no code with any route.
+call.  The principal-specialization and power-sum tests share no code
+with any route.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .graphs import (
     semi_ordered_counts_by_id,
 )
 from .partitions import UNDEFINED, check_partition, partition_table, partitions_of
-from .tableaux import monomial_to_schur
+from .tableaux import _check_degree, monomial_to_schur
 from .tabloids import _check_route_size, _content_table, signed_g_tabloid_counts
 
 TABLOID = "tabloid"
@@ -80,7 +84,7 @@ def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:
         return signed_g_tabloid_counts(graph, [lam])[lam]
     if method == GROUPED:
         return _grouped(lam, semi_ordered_counts_by_id(graph))
-    return monomial_to_schur(chromatic_monomial_expansion(graph))[lam]
+    return _oracle(graph)[lam]
 
 
 def _grouped(lam, mono) -> int:
@@ -89,10 +93,15 @@ def _grouped(lam, mono) -> int:
     return sum(c * mono.get(i, 0) for i, c in _content_table(lam).items())
 
 
+def _oracle(graph) -> CoefficientVector:
+    _check_degree(graph.n)  # before the type count, whose cap is higher
+    return monomial_to_schur(chromatic_monomial_expansion(graph))
+
+
 def schur_expansion(graph: LabeledGraph, method: str = GROUPED) -> CoefficientVector:
     """Full Schur expansion over all partitions of the vertex count."""
     if method == ORACLE:
-        return monomial_to_schur(chromatic_monomial_expansion(graph))
+        return _oracle(graph)
     if method == GROUPED:
         mono = semi_ordered_counts_by_id(graph)
         coeffs = {lam: _grouped(lam, mono) for lam in partitions_of(graph.n)}

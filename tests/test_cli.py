@@ -85,14 +85,21 @@ def test_expand_invalid_graph_exit_2(capsys):
 
 def test_expand_oversized_graph_exit_2(capsys):
     # 28 vertices are past the cap of the stable-partition type count, which
-    # refuses before it allocates its table of vertex subsets, and on the
-    # oracle route before the partitions of the vertex count are listed
-    for argv, n in ((("--graph", "GN(14,14)"), 28), (("--graph", "GN(20,20)", "--method", "oracle"), 40)):
+    # refuses before it allocates its table of vertex subsets; the oracle
+    # route checks its own, lower cap before the type count, so P(24) and
+    # GN(12,12), within the type count's cap, do not build a Kostka table
+    # of degree 24
+    for argv, message in (
+        (("--graph", "GN(14,14)"), "28 vertices exceed the cap of 24"),
+        (("--graph", "GN(20,20)", "--method", "oracle"), "40 vertices exceed the cap of 22 on the oracle route"),
+        (("--graph", "P(24)", "--method", "oracle"), "24 vertices exceed the cap of 22 on the oracle route"),
+        (("--graph", "GN(12,12)", "--method", "oracle"), "24 vertices exceed the cap of 22 on the oracle route"),
+    ):
         started = time.perf_counter()
         code, out, err = run_cli(capsys, "expand", *argv)
         assert time.perf_counter() - started < 1, argv
         assert code == 2 and out == ""
-        assert f"{n} vertices exceed the cap of 24" in err
+        assert message in err
 
 
 def test_expand_tabloid_route_oversized_graph_exit_2(capsys):
@@ -334,7 +341,9 @@ def test_all_matches_the_suite_commands_one_at_a_time(capsys):
 
 @pytest.mark.slow
 def test_expand_json_digests(capsys):
-    # the same bytes the tabloid route gave when it was the default
+    # the same bytes the tabloid route gave when it was the default; at 16
+    # and 17 vertices the oracle route must give them too
+    oracle_checked = ("GN(8,8)", "GS(8,[2,1,1,1,1,1,1,1])")
     for graph, digest in (
         ("GN(6,6)", "13aab5ebeb745821af2493829fec33d578a912c57168e89eea1a1e1eb4f3b1f0"),
         ("GS(6,[2,1,1,1,1])", "9d1faa436c1c4bf381d4c478a255ceef97f4f8477ea7d7016c7caa3f8aeb30cb"),
@@ -345,9 +354,10 @@ def test_expand_json_digests(capsys):
             "dbb4a2a3da3a0dac0d883f44b4c36c3c474cb120fe814ec0a2b70e6ede3117f6",
         ),
     ):
-        code, out, _ = run_cli(capsys, "--format", "json", "expand", "--graph", graph)
-        assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, graph
+        for route in ((), ("--method", "oracle")) if graph in oracle_checked else ((),):
+            code, out, _ = run_cli(capsys, "--format", "json", "expand", "--graph", graph, *route)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (graph, route)
 
 
 def test_seed_option_removed(capsys):

@@ -96,6 +96,19 @@ def test_schur_coefficient_validation():
         xi((1, 2), complete_graph(3))
 
 
+def test_oracle_route_checks_its_cap_before_the_type_count():
+    from chromatic_schur.graphs import _types_for
+
+    path = path_graph(23)
+    counted = _types_for.cache_info().currsize
+    message = "23 vertices exceed the cap of 22 on the oracle route"
+    with pytest.raises(ValueError, match=message):
+        schur_expansion(path, ORACLE)
+    with pytest.raises(ValueError, match=message):
+        schur_coefficient(path, (2,) * 11 + (1,), ORACLE)
+    assert _types_for.cache_info().currsize == counted
+
+
 def test_schur_expansion_examples():
     assert schur_expansion(complete_graph(3)).coeffs == {(1, 1, 1): 6}
     assert schur_expansion(star_graph(3)).coeffs == {

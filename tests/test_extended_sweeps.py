@@ -1,7 +1,8 @@
 """Wider sweeps of the module invariants, beyond the acceptance bounds.
 
-The census-wide method agreement is the one marked ``slow``; deselect it
-with ``pytest -m "not slow"`` for a quick loop.
+The census-wide method agreement and the power-sum check are the ones
+marked ``slow``; deselect them with ``pytest -m "not slow"`` for a quick
+loop.
 """
 
 import random
@@ -25,6 +26,7 @@ from chromatic_schur.partitions import partitions_of
 from chromatic_schur.tabloids import pendant_tail_counts
 from chromatic_schur.verify import run_singleton_removal_suite, run_spider_recurrence_suite
 from graph_helpers import random_graph
+from power_sum_helpers import schur_by_power_sums
 
 SEED = 20260810
 
@@ -44,6 +46,19 @@ def test_method_agreement_six_vertex_census_and_seven_vertex_samples():
         oracle = schur_expansion(graph, ORACLE)
         for lam in partitions_of(graph.n):
             assert tabloid[lam] == grouped[lam] == oracle[lam], (graph, lam)
+
+
+@pytest.mark.slow
+def test_every_route_equals_the_power_sum_expansion():
+    # Stanley's subset expansion and Murnaghan-Nakayama share no code with
+    # any route: all three on the 6-vertex census, the default route on the
+    # 7-vertex census and on GN(6,6)
+    for graph in connected_graphs(6):
+        expected = schur_by_power_sums(graph.n, graph.edges)
+        for method in (TABLOID, GROUPED, ORACLE):
+            assert schur_expansion(graph, method).coeffs == expected, (graph, method)
+    for graph in connected_graphs(7) + [generalized_net(6, 6)]:
+        assert schur_expansion(graph).coeffs == schur_by_power_sums(graph.n, graph.edges), graph
 
 
 def test_pendant_tail_exclusion_up_to_eight_vertices():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from chromatic_schur.coeffvec import MONOMIAL, SCHUR, CoefficientVector
 from chromatic_schur.partitions import partitions_of, sort_to_partition
-from chromatic_schur.tableaux import kostka_matrix, kostka_number, monomial_to_schur
+from chromatic_schur.tableaux import MAX_ORACLE_VERTICES, kostka_matrix, monomial_to_schur
 from tabloid_helpers import content_table, srh_tabloids
 
 
@@ -25,6 +25,7 @@ def syt_count(shape):
     return total
 
 
+@lru_cache(maxsize=None)
 def ssyt_count(shape, weight):
     """Independent oracle: count SSYT of ``shape`` with content ``weight`` by
     backtracking over fillings in reading order."""
@@ -54,15 +55,15 @@ def ssyt_count(shape, weight):
 
 
 def test_kostka_matches_ssyt_backtracking_through_degree_8():
-    # kostka_number grows one weight's Pieri rows, kostka_matrix every
-    # weight's with shared prefixes
+    # one column per weight, in the order of partitions_of, each holding
+    # only the nonzero counts of its shapes
     for n in range(9):
         table = kostka_matrix(n)
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                expected = ssyt_count(lam, mu)
-                assert kostka_number(lam, mu) == table.get((lam, mu), 0) == expected, (lam, mu)
-        assert 0 not in table.values()
+        assert tuple(table) == partitions_of(n)
+        for mu, column in table.items():
+            assert 0 not in column.values()
+            for lam in partitions_of(n):
+                assert column.get(lam, 0) == ssyt_count(lam, mu), (lam, mu)
 
 
 @pytest.mark.slow
@@ -71,6 +72,7 @@ def test_kostka_times_signed_rim_hook_tabloids_is_identity():
     # matrix (signed special rim hook tabloids by content type) are inverse
     for n in range(9):
         order = partitions_of(n)
+        kostka = kostka_matrix(n)
         kinv = {}
         for lam in order:
             for t in srh_tabloids(lam):
@@ -78,7 +80,7 @@ def test_kostka_times_signed_rim_hook_tabloids_is_identity():
                 kinv[key] = kinv.get(key, 0) + t.sign
         for nu in order:
             for lam in order:
-                total = sum(kostka_number(nu, mu) * kinv.get((mu, lam), 0) for mu in order)
+                total = sum(kostka[mu].get(nu, 0) * kinv.get((mu, lam), 0) for mu in order)
                 assert total == (nu == lam), (nu, lam)
 
 
@@ -90,28 +92,37 @@ def test_kostka_times_signed_content_table_is_identity():
         for lam in partitions_of(n):
             table = content_table(lam)
             column = {}
-            for (nu, mu), k in kostka.items():
-                column[nu] = column.get(nu, 0) + k * table.get(mu, 0)
+            for mu, weights in kostka.items():
+                for nu, k in weights.items():
+                    column[nu] = column.get(nu, 0) + k * table.get(mu, 0)
             assert {nu: c for nu, c in column.items() if c} == {lam: 1}, lam
 
 
 def test_kostka_examples():
-    assert kostka_number((2, 1), (1, 1, 1)) == 2
-    assert kostka_number((2,), (1, 1)) == 1
+    assert kostka_matrix(3)[(1, 1, 1)][(2, 1)] == 2
+    assert kostka_matrix(2)[(1, 1)][(2,)] == 1
+    assert (2, 2) not in kostka_matrix(4)[(3, 1)]  # (2, 2) does not dominate (3, 1)
     for lam in partitions_of(5):
-        assert kostka_number(lam, lam) == 1
-
-
-def test_kostka_size_mismatch():
-    with pytest.raises(ValueError):
-        kostka_number((2, 1), (2, 2))
+        assert kostka_matrix(5)[lam][lam] == 1
 
 
 def test_kostka_column_weight_counts_standard_tableaux():
     for n in range(7):
-        ones = (1,) * n
+        column = kostka_matrix(n)[(1,) * n]
         for lam in partitions_of(n):
-            assert kostka_number(lam, ones) == syt_count(lam)
+            assert column.get(lam, 0) == syt_count(lam)
+
+
+def test_oracle_refuses_degrees_above_its_cap_before_building_a_table():
+    # the cap bounds what the Kostka cache can hold
+    degree = MAX_ORACLE_VERTICES + 1
+    cached = kostka_matrix.cache_info().currsize
+    message = f"{degree} vertices exceed the cap of {MAX_ORACLE_VERTICES} on the oracle route"
+    with pytest.raises(ValueError, match=message):
+        monomial_to_schur(CoefficientVector(MONOMIAL, {(1,) * degree: 1}))
+    with pytest.raises(ValueError, match=message):
+        kostka_matrix(degree)
+    assert kostka_matrix.cache_info().currsize == cached
 
 
 def test_monomial_to_schur_examples():
@@ -137,12 +148,14 @@ def test_monomial_to_schur_rejects_wrong_basis():
 
 def schur_to_monomial(vec):
     """Expand a Schur-basis vector over monomials: m_mu gets the sum of
-    c_lam * K(lam, mu)."""
+    c_lam * K(lam, mu), K counted by backtracking rather than read from
+    ``kostka_matrix``, so the round trip checks the back-substitution
+    against a Kostka source of its own."""
     assert vec.basis == SCHUR
     out = {}
     for lam, c in vec.coeffs.items():
         for mu in partitions_of(sum(lam)):
-            out[mu] = out.get(mu, 0) + c * kostka_number(lam, mu)
+            out[mu] = out.get(mu, 0) + c * ssyt_count(lam, mu)
     return CoefficientVector(MONOMIAL, out)
 
 
