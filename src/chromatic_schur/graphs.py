@@ -5,9 +5,10 @@ bookkeeping, claw detection, exact stable-partition counting and the
 connected-graph census.  Graphs are immutable after construction and safe
 to share across workers.
 
-Vertex sets are int bitmasks, bit ``v - 1`` for vertex ``v``, and a graph
-stores only its neighbour bitmasks, ``LabeledGraph.adj``, which every
-enumerator reads.  The only result kept per graph is the semi-ordered
+Vertex sets are int bitmasks, bit ``v - 1`` for vertex ``v``.  A graph
+keeps the ``edges`` frozenset it was built from, which its equality,
+repr, JSON and relabelling read, and its neighbour bitmasks,
+``LabeledGraph.adj``, which its key and every enumerator read.  The only result kept per graph is the semi-ordered
 counts of ``semi_ordered_counts_by_id``, the monomial coefficients by
 partition id: one inclusion-exclusion count, which reads only ``adj``.  The
 table of ``stable_sets`` is read by the tabloid route and the head/tail

@@ -54,7 +54,7 @@ def _check_degree(degree: int) -> None:
         raise ValueError(f"{degree} vertices exceed the cap of {MAX_ORACLE_VERTICES} on the oracle route")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
 def kostka_matrix(degree: int) -> dict[Partition, dict[Partition, int]]:
     """All nonzero Kostka numbers of one degree as ``{weight: {shape: K}}``.
 
@@ -64,8 +64,9 @@ def kostka_matrix(degree: int) -> dict[Partition, dict[Partition, int]]:
     adding every horizontal strip of mu_k cells.  Weights share prefixes,
     so the counts of each prefix are grown once in the call; a whole
     weight's counts are its column, in the order of ``partitions_of``.
-    Kept for the life of the process, one table per degree up to
-    ``MAX_ORACLE_VERTICES``; above it, ``ValueError`` before any work.
+    Only the last degree's table is kept, so a process holds one table at
+    a time; callers that go through degrees in order rebuild none.  Above
+    ``MAX_ORACLE_VERTICES``, ``ValueError`` before any work.
     """
     _check_degree(degree)
     # grown[prefix]: SSYT counts by shape for the weight prefix

@@ -15,8 +15,11 @@ the diagram it leaves off the row lengths alone.  The grouped route's signed
 content tables are keyed by the partition ids of
 ``partitions.partition_table``.  One bottom-up fill over remaining-vertex
 bitmasks, ``_fill``, gives both the tabloid route's signed counts and the
-tail counts of ``pendant_tail_counts``.  Only the head fragments that
-``head_class_sums`` reports hold cells, built per call by ``_hook_cells``.
+tail counts of ``pendant_tail_counts``.  Both head/tail statistics reach
+the same 2^n remaining-vertex states as the route, so both keep its
+``MAX_TABLOID_VERTICES`` cap.  Only the head fragments that key the classes
+of ``head_class_sums``, plain tuples, hold cells, built per call by
+``_hook_cells``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from types import MappingProxyType
 
 from .graphs import LabeledGraph, mask_labels, stable_sets, vertex_mask
 from .partitions import Partition, check_partition, partition_table
-from .records import FrozenRecord
 
 Cell = tuple[int, int]
 
@@ -195,37 +197,6 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     return {shape: top[ids[shape]] for shape in shapes}
 
 
-class TabloidPart(FrozenRecord):
-    """Restriction of a G-tabloid to its head rows (lengths > 1) or its tail
-    rows (length 1), with rows renumbered to start at 1.
-
-    Two parts are equal exactly when their row lengths, per-hook cell
-    fragments, and vertex fillings coincide; whether a fragment's hook
-    continues across the head/tail boundary is deliberately not recorded.
-    """
-
-    __slots__ = _fields = ("row_lengths", "fragments")
-
-    def __init__(self, row_lengths: Partition, fragments: tuple[tuple[tuple[Cell, ...], tuple[int, ...]], ...]):
-        object.__setattr__(self, "row_lengths", row_lengths)
-        object.__setattr__(self, "fragments", fragments)
-
-    def vertex_set(self) -> frozenset:
-        return frozenset(v for _, verts in self.fragments for v in verts)
-
-    def sort_key(self):
-        return (self.row_lengths, self.fragments)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "row_lengths": list(self.row_lengths),
-            "fragments": [
-                {"cells": [list(c) for c in cells], "vertices": list(verts)}
-                for cells, verts in self.fragments
-            ],
-        }
-
-
 # ---------------------------------------------------------------------------
 # head/tail statistics
 #
@@ -262,8 +233,11 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
     whose tail is nonempty and holds only vertices of ``pendants``: those in
     which every hook's smallest vertices, one per tail cell, are pendants.
     Both are the two full-size slots of one ``_fill`` below the head rows.
-    The shape's size must be the graph's vertex count.
+    The shape's size must be the graph's vertex count.  Raises
+    ``ValueError`` above ``MAX_TABLOID_VERTICES`` vertices, as the route's
+    fill does, before anything is built.
     """
+    _check_route_size(graph)
     shape = check_partition(shape)
     if sum(shape) != graph.n:
         raise ValueError("partition size must equal the vertex count")
@@ -280,13 +254,22 @@ _START, _SELECTED, _PENDING, _REJECTED = range(4)
 
 def head_class_sums(shape, graph: LabeledGraph, pendants) -> dict:
     """Group the SRH G-tabloids of ``shape`` by head part and return
-    ``{head: [signed selected sum, selected count, class size]}``.
+    ``{fragments: [signed selected sum, selected count, class size]}``.
+
+    A head part is its tuple of ``(cells, vertices)`` fragments, one per
+    hook with a cell in the head rows, bottom hook first.  Every class of a
+    call shares the head rows, the parts of ``shape`` above 1, so the
+    fragments alone tell two classes apart.  A fragment does not record
+    whether its hook continues across the head/tail boundary, so two heads
+    with the same cells and filling are one class either way.
 
     A tabloid is selected when its bottom cell holds a pendant not adjacent
     to the vertex in the cell above it.  The shape must end in two parts
-    equal to 1 and have the graph's vertex count as its size.  On a
-    generalized net each hook, a stable set, holds at most one vertex of the
-    clique body, so the selection needs no rule on body vertices.
+    equal to 1 and have the graph's vertex count as its size, and the graph
+    at most ``MAX_TABLOID_VERTICES`` vertices; each is checked before any
+    work, and ``ValueError`` raised.  On a generalized net each hook, a
+    stable set, holds at most one vertex of the clique body, so the
+    selection needs no rule on body vertices.
 
     Hook prefixes are peeled forward and summed per selection status by
     (subdiagram, remaining bitmask, head part of the crossing hook).  The
@@ -297,6 +280,7 @@ def head_class_sums(shape, graph: LabeledGraph, pendants) -> dict:
     completes the head key.  A hook's cells are built only where it puts
     cells in the head, once per (subdiagram, top row) per call.
     """
+    _check_route_size(graph)
     shape = check_partition(shape)
     if shape[-2:] != (1, 1):
         raise ValueError("the shape must end in two parts equal to 1")
@@ -373,4 +357,4 @@ def head_class_sums(shape, graph: LabeledGraph, pendants) -> dict:
                         acc[0] += count
                         acc[1] += sign * signed
         by[size] = None
-    return {TabloidPart(shape[:h], frags): acc for frags, acc in groups.items()}
+    return groups

@@ -390,7 +390,10 @@ def run_cancellation_check(
     Within each head class, the tabloids whose bottom cell holds a pendant
     not adjacent to the vertex directly above it must cancel in sign.  Head
     classes whose tail pool has no body vertex fall outside the claim and
-    are skipped.
+    are skipped.  The classes come from ``tabloids.head_class_sums``, keyed
+    by their head fragments, and are reported in the order of those keys.
+    That call checks the shape (it must end in (1, 1) and have the graph's
+    size) before any work, so no shape check is made here.
 
     The claim's hypothesis is the paper's object: ``graph`` is the
     pendant-first generalized net GN(b, p), with b = len(body_set) and
@@ -404,10 +407,6 @@ def run_cancellation_check(
     pendants lowest.
     """
     lam = tuple(lam)
-    if len(lam) < 2 or lam[-1] != 1 or lam[-2] != 1:
-        raise ValueError("the shape must end in two parts equal to 1")
-    if sum(lam) != graph.n:
-        raise ValueError(f"the shape has size {sum(lam)}, the graph {graph.n} vertices")
     pendant_set, body_set = frozenset(pendant_set), frozenset(body_set)
     net = generalized_net(len(body_set), len(pendant_set), PENDANT_FIRST)
     if net is UNDEFINED or (graph.key(), pendant_set, body_set) != (
@@ -418,15 +417,21 @@ def run_cancellation_check(
     started = time.monotonic()
     groups = head_class_sums(lam, graph, pendant_set)
     instances = []
-    for head in sorted(groups, key=lambda h: h.sort_key()):
-        lhs, selected, total = groups[head]
-        body_pool = body_set - head.vertex_set()
+    for fragments in sorted(groups):
+        lhs, selected, total = groups[fragments]
+        in_head = {v for _, verts in fragments for v in verts}
+        body_pool = body_set - in_head
         params = {
             "graph": label or repr(graph),
             "lambda": list(lam),
-            "head": head.to_json_dict(),
+            "head": {
+                "row_lengths": [p for p in lam if p > 1],
+                "fragments": [
+                    {"cells": [list(c) for c in cells], "vertices": list(verts)} for cells, verts in fragments
+                ],
+            },
             "tail_pool_body": sorted(body_pool),
-            "tail_pool_pendants": sorted(pendant_set - head.vertex_set()),
+            "tail_pool_pendants": sorted(pendant_set - in_head),
         }
         inst = _verdict(params, lhs, 0, selected=selected, head_class_size=total)
         if not body_pool:

@@ -13,7 +13,8 @@ package's id-keyed signed content table keyed by partition, and
 reference for it.
 ``srh_g_tabloids`` streams the graph-filled tabloids one by one, a small-n
 reference for the memoized counts of ``chromatic_schur.tabloids``, and
-``split_head_tail`` cuts one at the head/tail boundary.
+``split_head_tail`` cuts one at the head/tail boundary into the plain
+``(row_lengths, fragments)`` pairs that ``fragment_vertices`` reads.
 ``tabloids_with_bottom_vertex`` picks out the bottom-cell classes that the
 recurrences split on.
 """
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 from chromatic_schur.graphs import mask_labels, stable_masks
 from chromatic_schur.partitions import UNDEFINED, Partition, check_partition, partition_table
-from chromatic_schur.tabloids import Cell, TabloidPart, _content_table
+from chromatic_schur.tabloids import Cell, _content_table
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ class SrhGTabloid(SrhTabloid):
 
     def tail_vertices(self) -> frozenset:
         """Vertices sitting in the rows of length 1."""
-        return split_head_tail(self)[1].vertex_set()
+        return fragment_vertices(split_head_tail(self)[1][1])
 
     def to_json_dict(self) -> dict:
         out = super().to_json_dict()
@@ -220,9 +221,12 @@ def srh_g_tabloids(shape, graph):
     yield from rec(shape, (1 << graph.n) - 1, [], [])
 
 
-def split_head_tail(tabloid: SrhGTabloid) -> tuple[TabloidPart, TabloidPart]:
+def split_head_tail(tabloid: SrhGTabloid):
     """Split into the rows of length > 1 (head) and the rows of length 1
-    (tail), renumbering the tail rows to start at 1."""
+    (tail), renumbering the tail rows to start at 1.  Each part is a
+    ``(row_lengths, fragments)`` pair, with one ``(cells, vertices)``
+    fragment per hook that has a cell in it, bottom hook first; whether a
+    hook continues across the boundary is not recorded."""
     h = tabloid.head_row_count()
     head_frags = []
     tail_frags = []
@@ -239,10 +243,12 @@ def split_head_tail(tabloid: SrhGTabloid) -> tuple[TabloidPart, TabloidPart]:
             head_frags.append((tuple(hcells), tuple(hverts)))
         if tcells:
             tail_frags.append((tuple(tcells), tuple(tverts)))
-    return (
-        TabloidPart(tabloid.shape[:h], tuple(head_frags)),
-        TabloidPart(tabloid.shape[h:], tuple(tail_frags)),
-    )
+    return (tabloid.shape[:h], tuple(head_frags)), (tabloid.shape[h:], tuple(tail_frags))
+
+
+def fragment_vertices(fragments) -> frozenset:
+    """The vertices that ``(cells, vertices)`` fragments hold."""
+    return frozenset(v for _, verts in fragments for v in verts)
 
 
 def tabloids_with_bottom_vertex(shape, graph, vertex: int):

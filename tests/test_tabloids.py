@@ -11,6 +11,7 @@ from chromatic_schur.partitions import UNDEFINED, partitions_of, sort_to_partiti
 from chromatic_schur.tabloids import _content_table, bottom_hooks
 from tabloid_helpers import (
     content_table,
+    fragment_vertices,
     peel_bottom_hooks,
     reference_content_table,
     split_head_tail,
@@ -453,17 +454,17 @@ def test_anchor_bottom_class_matches_shrunken_graph():
 def test_split_head_tail_rows():
     g = generalized_net(3, 3)
     for t in srh_g_tabloids((3, 2, 1, 1, 1), g):
-        head, tail = split_head_tail(t)
-        assert head.row_lengths == (3, 2)
-        assert tail.row_lengths == (1, 1, 1)
-        assert head.vertex_set() | tail.vertex_set() == set(g.vertices)
+        (head_rows, head), (tail_rows, tail) = split_head_tail(t)
+        assert head_rows == (3, 2)
+        assert tail_rows == (1, 1, 1)
+        assert fragment_vertices(head) | fragment_vertices(tail) == set(g.vertices)
         break
     for t in srh_g_tabloids((2, 2), generalized_net(2, 2)):
         _, tail = split_head_tail(t)
-        assert tail.row_lengths == () and not tail.fragments
+        assert tail == ((), ())
     for t in srh_g_tabloids((1, 1), complete_graph(2)):
         head, _ = split_head_tail(t)
-        assert head.row_lengths == () and not head.fragments
+        assert head == ((), ())
 
 
 def test_head_equality_ignores_boundary_crossing():
@@ -519,11 +520,12 @@ def _random_pendant_instance(rng):
 
 
 def _stream_head_classes(lam, graph, pendants):
-    """The head-group statistics by walking every G-tabloid."""
+    """The head-group statistics by walking every G-tabloid, keyed by the
+    head fragments."""
     k = len(lam)
     groups = {}
     for t in srh_g_tabloids(lam, graph):
-        head, _ = split_head_tail(t)
+        (_, head), _ = split_head_tail(t)
         acc = groups.setdefault(head, [0, 0, 0])
         acc[2] += 1
         bottom = t.fills[0][0]
@@ -580,20 +582,39 @@ def test_head_tail_statistics_check_their_shapes():
         head_class_sums((1, 1, 1), net, pendants)
 
 
+def test_head_tail_statistics_keep_the_route_cap(monkeypatch):
+    # both fill the route's 2^n remaining-vertex states, so a 19-vertex net
+    # is refused before the stable-set table is built
+    import time
+
+    from chromatic_schur import tabloids
+
+    def refuse(graph):
+        raise AssertionError("a statistic built the stable-set table")
+
+    monkeypatch.setattr(tabloids, "stable_sets", refuse)
+    net = generalized_net(10, 9)  # pendant-first: pendants 1..9
+    lam = (2,) * 8 + (1, 1, 1)
+    message = f"19 vertices exceed the cap of {tabloids.MAX_TABLOID_VERTICES} on the tabloid route"
+    for statistic in (tabloids.pendant_tail_counts, tabloids.head_class_sums):
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match=message):
+            statistic(lam, net, range(1, 10))
+        assert time.perf_counter() - started < 1
+
+
 @pytest.mark.slow
 def test_head_class_sums_match_the_stream():
-    import json
     import random
 
     from chromatic_schur.graphs import BODY_ROLES, PENDANT_ROLES
     from chromatic_schur.tabloids import head_class_sums
     from chromatic_schur.verify import run_cancellation_check
 
-    def stream(graph, lam, pendants):
-        return {
-            json.dumps(head.to_json_dict()): acc
-            for head, acc in _stream_head_classes(lam, graph, pendants).items()
-        }
+    def fragments(head, lam):
+        # a reported head back to the fragments that key its class
+        assert head["row_lengths"] == [p for p in lam if p > 1]
+        return tuple((tuple(map(tuple, f["cells"])), tuple(f["vertices"])) for f in head["fragments"])
 
     # nets whose clique outnumbers the rows left in some state: GN(4,2)'s
     # four-clique already outnumbers the three rows of (4,1,1) at the root,
@@ -607,11 +628,12 @@ def test_head_class_sums_match_the_stream():
         pendants = frozenset(graph.labels_with_role(*PENDANT_ROLES))
         report = run_cancellation_check(graph, lam, pendants, graph.labels_with_role(*BODY_ROLES))
         got = {
-            json.dumps(inst["params"]["head"]): [inst["lhs"], inst["selected"], inst["head_class_size"]]
+            fragments(inst["params"]["head"], lam): [inst["lhs"], inst["selected"], inst["head_class_size"]]
             for inst in report.instances
         }
-        assert got == stream(graph, lam, pendants), (n, m, lam)
+        assert got == _stream_head_classes(lam, graph, pendants), (n, m, lam)
         assert len(got) == size, (n, m, lam)
+        assert list(got) == sorted(got)
 
     # random graphs lie outside the cancellation claim's hypothesis, so the
     # statistic is compared on its own
@@ -625,9 +647,8 @@ def test_head_class_sums_match_the_stream():
             continue
         lam = rng.choice(shapes)
         checked += 1
-        want = stream(graph, lam, pendants)
-        got = {json.dumps(head.to_json_dict()): acc for head, acc in head_class_sums(lam, graph, pendants).items()}
-        assert got == want, (graph, lam, pendants)
+        want = _stream_head_classes(lam, graph, pendants)
+        assert head_class_sums(lam, graph, pendants) == want, (graph, lam, pendants)
         nonzero += any(acc[0] for acc in want.values())
     assert nonzero >= 10
 
