@@ -16,8 +16,9 @@ and the extended sweep of the 6-vertex census, 7-vertex samples, GN(5,5) and
 P(10); so grouped and oracle, and tabloid and oracle, meet up to 10
 vertices.  ``test_principal_specialization`` checks each route alone, also
 up to 10.  Grouped and tabloid meet up to 12
-(``test_signed_g_tabloid_counts_equal_the_grouped_route``), grouped and
-oracle at 16 and 17 (``test_expand_json_digests``) and at 22 in CI.  A
+(``test_signed_g_tabloid_counts_equal_the_grouped_route``) and at 14 and 16
+in CI (GS(7,[2,1,1,1,1,1]) and GN(8,8)), grouped and oracle at 16 and 17
+(``test_expand_json_digests``) and at 22 in CI.  A
 power-sum expansion meets all three on the 6-vertex census, and grouped on
 the 7-vertex census and GN(6,6).  Grouped is also checked alone, 16 to 20
 (``test_principal_specialization_at_the_frontier``): principal

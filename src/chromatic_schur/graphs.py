@@ -240,9 +240,11 @@ def with_disjoint_path(graph, k: int):
 
 def is_claw_free(graph) -> bool:
     """True iff no four vertices induce a star K_{1,3}: no vertex has a
-    stable 3-set among its neighbours."""
+    stable 3-set among its neighbours.  The walk of ``stable_masks`` on a
+    neighbourhood reaches a stable triple before any larger set, so it
+    meets only sets of at most two vertices before it stops."""
     adj = graph.adj
-    return not any(next(stable_masks(adj, adj[v], 3), 0) for v in graph.vertices)
+    return not any(group.bit_count() == 3 for v in graph.vertices for group in stable_masks(adj, adj[v]))
 
 
 def vertex_mask(vertices) -> int:
@@ -255,23 +257,20 @@ def mask_labels(mask: int) -> tuple[int, ...]:
     return tuple(v for v in range(1, mask.bit_length() + 1) if mask >> (v - 1) & 1)
 
 
-def stable_masks(adj, avail: int, size: int):
-    """Stable subsets of the vertex bitmask ``avail`` with exactly ``size``
-    vertices, under the neighbour masks ``adj`` of ``LabeledGraph.adj``.
+def stable_masks(adj, avail: int):
+    """Every stable subset of the vertex bitmask ``avail``, the empty set
+    first, under the neighbour masks ``adj`` of ``LabeledGraph.adj``.
 
-    The lowest available vertex is included before it is excluded, so the
-    subsets come in the lexicographic order of their sorted label tuples.
+    One include-first walk: each set comes before its extensions by higher
+    vertices, so the subsets come in the lexicographic order of their
+    sorted label tuples, and the sets of each size keep that order.
     """
-    if size == 0:
-        yield 0
-        return
-    if avail.bit_count() < size:
-        return
-    v_bit = avail & -avail
-    rest = avail ^ v_bit
-    for tail in stable_masks(adj, rest & ~adj[v_bit.bit_length()], size - 1):
-        yield v_bit | tail
-    yield from stable_masks(adj, rest, size)
+    yield 0
+    while avail:
+        v_bit = avail & -avail
+        avail ^= v_bit
+        for tail in stable_masks(adj, avail & ~adj[v_bit.bit_length()]):
+            yield v_bit | tail
 
 
 def stable_sets(graph) -> tuple[tuple[int, ...], ...]:
@@ -280,10 +279,12 @@ def stable_sets(graph) -> tuple[tuple[int, ...], ...]:
 
     A DP state keeps the sets that fit its remaining bitmask, in the order
     ``stable_masks`` on that bitmask gives, with no walk per state.  Built
-    by n + 1 walks and not cached.
+    by one walk, bucketed by size, and not cached.
     """
-    full = (1 << graph.n) - 1
-    return tuple(tuple(stable_masks(graph.adj, full, k)) for k in range(graph.n + 1))
+    table = [[] for _ in range(graph.n + 1)]
+    for group in stable_masks(graph.adj, (1 << graph.n) - 1):
+        table[group.bit_count()].append(group)
+    return tuple(map(tuple, table))
 
 
 def semi_ordered_counts_by_id(graph) -> MappingProxyType:

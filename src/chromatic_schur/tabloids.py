@@ -140,12 +140,14 @@ def _fill(graph: LabeledGraph, plans, pend: int = 0) -> list:
     of size k filled with exactly those vertices.  Per (length, j) group it
     sums the rests over the allowed sets that fit, once, and adds each
     hook's weight times its rest's slot.  A stable set is allowed when its j
-    lowest vertices lie in ``pend``, chosen once per group before the loop.
+    lowest vertices lie in ``pend``: when its lowest vertex outside ``pend``
+    has at least j of its vertices below it, or it has none.  The allowed
+    sets are chosen once per group before the loop.
     """
     stable = stable_sets(graph)
     keys = {(length, j) for _, groups in plans.values() for length, j, _ in groups}
     allowed = {
-        (length, j): tuple(g for g in stable[length] if not _low_bits(g, j) & ~pend) if j else stable[length]
+        (length, j): tuple(g for g in stable[length] if (g & ((out := g & ~pend) & -out) - 1).bit_count() >= j)
         for length, j in keys
     }
     steps = {
@@ -216,16 +218,6 @@ def _tail_cells(current: Partition, top: int, h: int) -> int:
     ``top``, below the ``h`` head rows: one per row of the hook below row
     ``h``, as every tail row is one cell wide."""
     return max(0, len(current) - max(top - 1, h))
-
-
-def _low_bits(group: int, j: int) -> int:
-    """The ``j`` lowest set bits of ``group``."""
-    low = 0
-    for _ in range(j):
-        bit = group & -group
-        low |= bit
-        group ^= bit
-    return low
 
 
 def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]:

@@ -12,17 +12,19 @@ package's id-keyed signed content table keyed by partition, and
 ``reference_content_table`` builds the same table by the cell peel: a wider
 reference for it.
 ``srh_g_tabloids`` streams the graph-filled tabloids one by one, a small-n
-reference for the memoized counts of ``chromatic_schur.tabloids``, and
+reference for the memoized counts of ``chromatic_schur.tabloids``.  It
+takes each hook's stable sets from label combinations by brute force, so
+it shares no stable-set code with ``chromatic_schur.graphs`` either.
 ``split_head_tail`` cuts one at the head/tail boundary into the plain
 ``(row_lengths, fragments)`` pairs that ``fragment_vertices`` reads.
 ``tabloids_with_bottom_vertex`` picks out the bottom-cell classes that the
 recurrences split on.
 """
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from chromatic_schur.graphs import mask_labels, stable_masks
 from chromatic_schur.partitions import UNDEFINED, Partition, check_partition, partition_table
 from chromatic_schur.tabloids import Cell, _content_table
 
@@ -199,6 +201,8 @@ def srh_g_tabloids(shape, graph):
     Yields nothing when either argument is UNDEFINED or the sizes differ.
     The sorted placement is the unique one satisfying the increasing-read
     condition, so it is enforced by construction rather than filtered.
+    Each hook's set is a combination of the labels left, in lexicographic
+    order, kept when no two of its labels are adjacent.
     """
     if shape is UNDEFINED or graph is UNDEFINED:
         return
@@ -207,18 +211,21 @@ def srh_g_tabloids(shape, graph):
         return
 
     def rec(current, remaining, hooks, fills):
+        # remaining: the labels not yet placed, in increasing order
         if not current:
             yield SrhGTabloid(shape, tuple(hooks), tuple(fills))
             return
         for hook, reduced in peel_bottom_hooks(current):
-            for group in stable_masks(graph.adj, remaining, hook.length):
+            for group in itertools.combinations(remaining, hook.length):
+                if any(graph.adjacent(u, v) for u, v in itertools.combinations(group, 2)):
+                    continue
                 hooks.append(hook)
-                fills.append(mask_labels(group))
-                yield from rec(reduced, remaining ^ group, hooks, fills)
+                fills.append(group)
+                yield from rec(reduced, tuple(v for v in remaining if v not in group), hooks, fills)
                 hooks.pop()
                 fills.pop()
 
-    yield from rec(shape, (1 << graph.n) - 1, [], [])
+    yield from rec(shape, tuple(graph.vertices), [], [])
 
 
 def split_head_tail(tabloid: SrhGTabloid):

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -259,6 +260,27 @@ def test_cancel_mis_sized_shape_exit_2(capsys):
     for shape in ("2,1,1", "1,1"):
         code, out, err = run_cli(capsys, "cancel", "--graph", "GN(3,3)", "--partition", shape)
         assert code == 2 and out == "" and "size" in err
+
+
+def test_cancel_needs_both_instance_options_exit_2(capsys):
+    for argv in (["--graph", "GN(3,3)"], ["--partition", "2,1,1,1,1"]):
+        code, out, err = run_cli(capsys, "cancel", *argv)
+        assert code == 2 and out == "", argv
+        assert "cancel needs both --graph and --partition, or neither" in err, argv
+
+
+def test_timing_reports_the_measured_wall_time(capsys):
+    # the measured time shows only under --timing; without it the report stays 0
+    code, out, _ = run_cli(capsys, "--timing", "net-rec", "--n-max", "2")
+    assert code == 0
+    assert re.search(r", \d+ ms\)$", out.splitlines()[0]), out
+    code, out, _ = run_cli(capsys, "--timing", "--format", "json", "net-rec", "--n-max", "2")
+    wall = json.loads(out)["reports"][0]["wall_time_ms"]
+    assert code == 0 and type(wall) is int and wall >= 0
+    code, out, _ = run_cli(capsys, "--format", "json", "net-rec", "--n-max", "2")
+    assert code == 0 and json.loads(out)["reports"][0]["wall_time_ms"] == 0
+    code, out, _ = run_cli(capsys, "net-rec", "--n-max", "2")
+    assert code == 0 and not out.splitlines()[0].endswith(" ms)")
 
 
 def test_cancel_outside_its_hypothesis_exit_2(capsys):

@@ -94,7 +94,8 @@ def test_spider_recurrence_wider():
 
 def test_cancellation_on_every_pendant_first_net_up_to_nine_vertices():
     # the claim's hypothesis in full up to 9 vertices: every net GN(b,p)
-    # with p <= b, at every shape ending in (1,1)
+    # with p <= b, at every shape ending in (1,1); every head class keeps a
+    # body vertex in its tail pool, so every class is judged
     from chromatic_schur.graphs import BODY_ROLES
     from chromatic_schur.verify import run_cancellation_check
 
@@ -109,6 +110,8 @@ def test_cancellation_on_every_pendant_first_net_up_to_nine_vertices():
                     continue
                 report = run_cancellation_check(graph, lam, pendants, body)
                 assert report.passed, (n, m, lam)
+                assert report.instances_checked == len(report.instances), (n, m, lam)
+                assert all(i["params"]["tail_pool_body"] for i in report.instances), (n, m, lam)
                 checked += 1
     assert checked == 197
 

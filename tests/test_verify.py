@@ -94,7 +94,7 @@ def test_cancellation_scaled_instance():
     pendants, body = _role_sets(graph)
     report = run_cancellation_check(graph, (2, 1, 1, 1, 1), pendants, body, label="GN(3,3)")
     assert report.passed and report.instances_checked > 0
-    assert all(i["lhs"] == 0 for i in report.instances if i["status"] != "skip")
+    assert all(i["lhs"] == 0 for i in report.instances)
     assert all(0 <= i["selected"] <= i["head_class_size"] for i in report.instances)
     # the cancelling subset is a proper subset: head classes also hold
     # tabloids excluded by the bottom-cell condition
@@ -364,6 +364,15 @@ def test_jobs_capped_by_cpu_affinity(monkeypatch):
     assert pinned.to_json_dict() == run_net_recurrence_suite(4, jobs=1).to_json_dict()
 
 
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    # where the platform has no affinity call, every CPU counts as usable
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert verify._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify._usable_cpus() == 1
+
+
 def _fails_at_zero(x):
     if x == 0:
         raise ValueError("no instance 0")
@@ -411,3 +420,9 @@ def test_suite_argument_validation():
         run_structure_suite(1)
     with pytest.raises(ValueError):
         run_open_coefficient_report(2)
+    with pytest.raises(ValueError):
+        run_singleton_removal_suite(0)
+    with pytest.raises(ValueError):
+        run_positivity_sweep(0)
+    with pytest.raises(ValueError):
+        run_f_table_suite(-1)
