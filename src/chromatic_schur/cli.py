@@ -1,7 +1,8 @@
 """Command-line driver: graph expansion plus the batch verification suites.
 
 Exit status: 0 when everything checked passed, 1 when a verified identity
-failed (the failures are listed in the output), 2 on invalid input.
+failed (the failures are listed in the output), 2 on invalid input, 3 on
+any other error, such as a dead suite worker, with its traceback on stderr.
 """
 
 from __future__ import annotations
@@ -306,11 +307,15 @@ def main(argv=None) -> int:
             else:
                 print(_vector_text(vec))
             return 0
-        reports = args.run(args, args.bound)
+        return _emit_reports(args.run(args, args.bound), args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return _emit_reports(reports, args)
+    except Exception:
+        import traceback
+
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -6,22 +6,26 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .partitions import Partition, check_partition
-from .records import FrozenRecord
 
 MONOMIAL = "monomial"
 SCHUR = "schur"
 _BASES = (MONOMIAL, SCHUR)
 
 
-class CoefficientVector(FrozenRecord):
+class CoefficientVector:
     """Finitely supported integer vector over partitions of one fixed size.
 
     Zero entries are never stored and all arithmetic stays in Python's
     arbitrary-precision integers; coefficients grow factorially, so no
     fixed-width type may enter the coefficient path.
+
+    Read-only, unhashable (its coefficients are a dict), and equal to a
+    vector of the same basis and coefficients.  Its methods are written out:
+    importing ``dataclasses`` cost more than the whole package.
     """
 
-    __slots__ = _fields = ("basis", "coeffs")
+    __slots__ = ("basis", "coeffs")
+    __hash__ = None
 
     def __init__(self, basis: str, coeffs: Mapping[Partition, int] = MappingProxyType({})):
         if basis not in _BASES:
@@ -54,8 +58,22 @@ class CoefficientVector(FrozenRecord):
         # canonical order: largest partition first
         return iter(sorted(self.coeffs, reverse=True))
 
-    def __len__(self) -> int:
-        return len(self.coeffs)
+    def __eq__(self, other):
+        if other.__class__ is CoefficientVector:
+            return self.basis == other.basis and self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"CoefficientVector(basis={self.basis!r}, coeffs={self.coeffs!r})"
+
+    def __reduce__(self):
+        return CoefficientVector, (self.basis, self.coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def items(self) -> list[tuple[Partition, int]]:
         return [(mu, self.coeffs[mu]) for mu in self]

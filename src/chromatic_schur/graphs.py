@@ -6,15 +6,17 @@ connected-graph census.  Graphs are immutable after construction and safe
 to share across workers.
 
 Vertex sets are int bitmasks, bit ``v - 1`` for vertex ``v``.  A graph
-keeps the ``edges`` frozenset it was built from, which its equality,
-repr, JSON and relabelling read, and its neighbour bitmasks,
-``LabeledGraph.adj``, which its key and every enumerator read.  The only result kept per graph is the semi-ordered
-counts of ``semi_ordered_counts_by_id``, the monomial coefficients by
-partition id: one inclusion-exclusion count, which reads only ``adj``.  The
-table of ``stable_sets`` is read by the tabloid route and the head/tail
-statistics alone.  Nets are the spiders whose legs are single pendants, and
-one builder, memoized on its arguments, makes both: the second cache kept
-per process, so each distinct net or spider is built once and shared.
+keeps the ``edges`` frozenset it was built from, which its equality, repr
+and relabelling read, its roles as one dict from label to tag, empty when
+there are none, and its neighbour bitmasks, ``LabeledGraph.adj``, which its
+key and every enumerator read.  The only result kept per graph is the
+semi-ordered counts of ``semi_ordered_counts_by_id``, the monomial
+coefficients by partition id: one inclusion-exclusion count, which reads
+only ``adj``.  The table of ``stable_sets`` is read by the tabloid route
+and the head/tail statistics alone.  Nets are the spiders whose legs are
+single pendants, and one builder, memoized on its arguments, makes both:
+the second cache kept per process, so each distinct net or spider is built
+once and shared.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ class LabeledGraph:
                 raise ValueError(f"role for unknown vertex {v}")
             if tag not in ROLE_TAGS:
                 raise ValueError(f"unknown role tag {tag!r}")
-        self.roles = roles or None  # no roles, given as None or as {}, is stored as None
+        self.roles = roles
         self.adj = tuple(adj)
 
     @property
@@ -108,11 +110,9 @@ class LabeledGraph:
         return (self.n, self.adj)
 
     def role_of(self, v: int) -> str | None:
-        return self.roles.get(v) if self.roles else None
+        return self.roles.get(v)
 
     def labels_with_role(self, *tags: str) -> tuple[int, ...]:
-        if not self.roles:
-            return ()
         return tuple(sorted(v for v, tag in self.roles.items() if tag in tags))
 
     def relabel(self, perm: dict[int, int]) -> "LabeledGraph":
@@ -120,21 +120,8 @@ class LabeledGraph:
         if sorted(perm) != list(self.vertices) or sorted(perm.values()) != list(self.vertices):
             raise ValueError("perm must be a permutation of the vertex labels")
         edges = [(perm[u], perm[v]) for u, v in self.edges]
-        roles = {perm[v]: tag for v, tag in self.roles.items()} if self.roles else None
+        roles = {perm[v]: tag for v, tag in self.roles.items()}
         return LabeledGraph(self.n, edges, roles)
-
-    def to_json_dict(self) -> dict:
-        out = {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}
-        if self.roles:
-            out["roles"] = {str(v): self.roles[v] for v in sorted(self.roles)}
-        return out
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "LabeledGraph":
-        roles = payload.get("roles")
-        if roles is not None:
-            roles = {int(v): tag for v, tag in roles.items()}
-        return cls(payload["n"], [tuple(e) for e in payload["edges"]], roles)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):
@@ -227,15 +214,9 @@ def with_disjoint_path(graph, k: int):
     if k not in (1, 2):
         raise ValueError("only P1 and P2 extensions are supported")
     n = graph.n
-    edges = set(graph.edges)
-    roles = dict(graph.roles) if graph.roles is not None else {}
     if k == 1:
-        roles[n + 1] = ISOLATED
-    else:
-        edges.add((n + 1, n + 2))
-        roles[n + 1] = LEG
-        roles[n + 2] = LEG
-    return LabeledGraph(n + k, edges, roles)
+        return LabeledGraph(n + 1, graph.edges, {**graph.roles, n + 1: ISOLATED})
+    return LabeledGraph(n + 2, [*graph.edges, (n + 1, n + 2)], {**graph.roles, n + 1: LEG, n + 2: LEG})
 
 
 def is_claw_free(graph) -> bool:
@@ -299,9 +280,16 @@ def semi_ordered_counts_by_id(graph) -> MappingProxyType:
     partitions, equal-size parts ordered.  Raises ``ValueError`` above
     ``MAX_TYPE_VERTICES`` vertices, before anything is built.
     """
-    if graph.n > MAX_TYPE_VERTICES:
-        raise ValueError(f"{graph.n} vertices exceed the cap of {MAX_TYPE_VERTICES} on stable-partition types")
+    check_type_vertices(graph.n)
     return _types_for(graph.key())
+
+
+def check_type_vertices(n: int) -> None:
+    """Raise ``ValueError`` when a graph on ``n`` vertices is past
+    ``MAX_TYPE_VERTICES``, the cap of the stable-partition type count.  A
+    suite calls it with the largest graph it would run, before any work."""
+    if n > MAX_TYPE_VERTICES:
+        raise ValueError(f"{n} vertices exceed the cap of {MAX_TYPE_VERTICES} on stable-partition types")
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)

@@ -35,13 +35,13 @@ from .graphs import (
     PENDANT_LAST,
     PENDANT_ROLES,
     LabeledGraph,
+    check_type_vertices,
     generalized_net,
     generalized_spider,
     star_graph,
     with_disjoint_path,
 )
 from .partitions import UNDEFINED, partitions_of, strip_trailing_ones
-from .records import Record
 from .tabloids import head_class_sums, pendant_tail_counts
 
 # Nominal per-instance cost classes, keyed by vertex count, used to gate
@@ -69,12 +69,11 @@ def nominal_cost_ms(n_vertices: int, kind: str = "coefficient") -> int:
     return COEFFICIENT_COST_MS.get(n_vertices, 10_000_000)
 
 
-class VerificationReport(Record):
+class VerificationReport:
     """Structured outcome of one suite; its verdicts are read from the
     instance records."""
 
-    __slots__ = _fields = ("statement_id", "instances", "wall_time_ms")
-    __hash__ = None
+    __slots__ = ("statement_id", "instances", "wall_time_ms")
 
     def __init__(self, statement_id: str, instances: list, wall_time_ms: int):
         self.statement_id = statement_id
@@ -235,6 +234,7 @@ def run_net_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport:
     over 1 <= m <= n <= n_max and every shape ending in a part equal to 1."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    check_type_vertices(2 * n_max)  # GN(n_max, n_max)
     params = [
         (n, m, lam)
         for n in range(1, n_max + 1)
@@ -281,6 +281,7 @@ def run_spider_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport
     3 <= n <= n_max, 2 <= m <= n, and shapes with two trailing parts 1."""
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
+    check_type_vertices(2 * n_max + 1)  # GS(n_max, (2, 1^(n_max - 1)))
     params = [
         (n, m, lam)
         for n in range(3, n_max + 1)
@@ -327,6 +328,7 @@ def run_structure_suite(bound: int, jobs: int = 1) -> VerificationReport:
     """
     if bound < 2:
         raise ValueError("bound must be at least 2")
+    check_type_vertices(bound)
     support_params = [
         ("support", n, m, PENDANT_LAST, lam)
         for n in range(1, bound + 1)
@@ -374,6 +376,7 @@ def run_singleton_removal_suite(bound: int, jobs: int = 1) -> VerificationReport
     graph equal those at (2^(C-1),1^(D+1)) of the bare net, for C+D <= bound."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    check_type_vertices(2 * bound)  # GN(bound, bound - 1) + P1
     params = [(c, d) for c in range(1, bound + 1) for d in range(0, bound - c + 1)]
     return _run("singleton-removal", _singleton_removal_instance, params, jobs)
 
@@ -489,6 +492,8 @@ def run_positivity_sweep(n_max: int, jobs: int = 1, budget_ms: int = DEFAULT_BUD
     # nets and the control are never gated; a spider has n + m + 1 vertices
     priced = [(0, p, p) for p in nets + [claw]]
     priced += [(nominal_cost_ms(p["n"] + p["m"] + 1), p, p) for p in spiders]
+    spiders_run = [p["n"] + p["m"] + 1 for cost, p, _ in priced if p["kind"] == "spider-report" and cost <= budget_ms]
+    check_type_vertices(max([2 * n_max, *spiders_run]))  # GN(n_max, n_max) or a spider run
     started = time.monotonic()
     instances = _map_within_budget(_positivity_instance, priced, jobs, budget_ms)
     return _finish("net-positivity", instances, started)
@@ -513,6 +518,7 @@ def run_f_table_suite(bound: int, jobs: int = 1) -> VerificationReport:
     and the plain factorial form on the C = 0 axis."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
+    check_type_vertices(2 * bound)  # GN(bound, bound) for f(bound, 0)
     value_params = [(c, d) for total in range(bound + 1) for c in range(total, -1, -1) for d in (total - c,)]
     started = time.monotonic()
     instances = _map_instances(_f_value_instance, value_params, jobs)
@@ -565,6 +571,8 @@ def run_open_coefficient_report(
         for family, lam, body, legs in _open_families(n):
             params = {"family": family, "n": n, "lambda": list(lam), "graph": f"GS({body},{list(legs)})"}
             priced.append((nominal_cost_ms(body + sum(legs)), params, (params, lam, body, legs)))
+    spiders_run = [body + sum(legs) for cost, _, (_, _, body, legs) in priced if cost <= budget_ms]
+    check_type_vertices(max(spiders_run, default=0))
     started = time.monotonic()
     instances = _map_within_budget(_open_coefficient_instance, priced, jobs, budget_ms)
     return _finish("open-spider-coefficients", instances, started)

@@ -148,9 +148,8 @@ def validate_roles(graph: LabeledGraph) -> None:
     Every anchor touches exactly one non-body vertex, buoys touch none, and a
     special pendant has degree 1 with no body neighbor.
     """
-    roles = graph.roles or {}
     body = set(graph.labels_with_role(*BODY_ROLES))
-    for v, tag in roles.items():
+    for v, tag in graph.roles.items():
         outside = [u for u in graph.neighbors(v) if u not in body]
         if tag in (ANCHOR, SPECIAL_ANCHOR):
             assert len(outside) == 1, f"anchor {v} touches {len(outside)} non-body vertices"

@@ -3,13 +3,15 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from chromatic_schur.cli import main, parse_graph_shorthand, parse_partition_text
+from chromatic_schur.cli import _build_parser, main, parse_graph_shorthand, parse_partition_text
 from chromatic_schur.graphs import generalized_net, star_graph
 
 
@@ -131,11 +133,22 @@ def test_shorthand_numbers_are_bounded_before_the_graph_is_built(capsys):
     assert parse_graph_shorthand("P(0024)").n == 24
 
 
-def test_f_table_text(capsys):
+def test_f_table_text(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "f-table", "--bound", "4")
     assert code == 0
     assert "f(C,D) for C+D <= 4" in out
     assert "failures: 0" in out
+    # f(4,0) is read by the even-axis identity alone, so exactly that one breaks
+    from chromatic_schur import verify
+
+    f = verify.f_coefficient
+    monkeypatch.setattr(verify, "f_coefficient", lambda c, d: f(c, d) + ((c, d) == (4, 0)))
+    code, out, _ = run_cli(capsys, "f-table", "--bound", "4")
+    assert code == 1
+    assert out.splitlines()[-2:] == [
+        "identities checked: 15, failures: 1",
+        '  FAIL {"C": 4, "D": 0, "kind": "even-axis"} lhs=25 rhs=24',
+    ]
 
 
 def test_f_table_expected_values(capsys):
@@ -380,6 +393,78 @@ def test_expand_json_digests(capsys):
             code, out, _ = run_cli(capsys, "--format", "json", "expand", "--graph", graph, *route)
             assert code == 0
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (graph, route)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["net-rec", "--n-max", "13"],
+        ["spider-rec", "--n-max", "12"],
+        ["structure", "--bound", "25"],
+        ["singleton-removal", "--bound", "13"],
+        ["positivity", "--n-max", "13"],
+        ["f-table", "--bound", "13"],
+        ["--budget-ms", "1000000000", "positivity", "--n-max", "12"],
+        ["--budget-ms", "1000000000", "open-coeffs", "--n-max", "12"],
+    ],
+)
+def test_suite_bound_past_the_type_cap_exit_2_before_any_work(capsys, monkeypatch, argv):
+    # each is the first bound whose largest graph has more than 24 vertices,
+    # so it is refused before any of its smaller instances runs
+    def no_count(key):
+        raise AssertionError("a type count ran")
+
+    monkeypatch.setattr("chromatic_schur.graphs._types_for", no_count)
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - started < 1
+    assert code == 2 and out == ""
+    assert re.search(r"error: 2[56] vertices exceed the cap of 24 on stable-partition types", err), err
+
+
+def test_crash_exits_3_not_1(capsys, monkeypatch):
+    # exit 1 means a verified identity failed; a worker that dies, or a fork
+    # that fails, is the program's own failure
+    from chromatic_schur import verify
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "_answer", lambda fn, params, write_fd: os._exit(9))
+    code, out, err = run_cli(capsys, "--jobs", "2", "net-rec", "--n-max", "3")
+    assert code == 3 and out == ""
+    assert err.startswith("Traceback") and "exited with status 9 without answering" in err
+
+    pipes = []
+    pipe = os.pipe
+
+    def recorded_pipe():
+        pipes.append(pipe())
+        return pipes[-1]
+
+    def failing_fork():
+        raise OSError("no process left")
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
+    monkeypatch.setattr(os, "fork", failing_fork)
+    code, out, err = run_cli(capsys, "--jobs", "2", "net-rec", "--n-max", "3")
+    assert code == 3 and out == ""
+    assert "OSError: no process left" in err
+    # the failed fork's pipe is closed at both ends
+    assert len(pipes) == 1
+    for fd in pipes[0]:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_readme_examples_parse():
+    # every command in README's Examples block, as written
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    parser = _build_parser()
+    for line in block.splitlines():
+        prog, *argv = shlex.split(line, comments=True)
+        assert prog == "chromatic-schur", line
+        parser.parse_args(argv)
+    assert len(block.splitlines()) == 7
 
 
 def test_seed_option_removed(capsys):

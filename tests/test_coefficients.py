@@ -91,6 +91,8 @@ def test_schur_coefficient_validation():
     with pytest.raises(ValueError):
         schur_coefficient(complete_graph(3), (2, 1), method="magic")
     with pytest.raises(ValueError):
+        schur_expansion(complete_graph(3), "bogus")
+    with pytest.raises(ValueError):
         schur_coefficient(complete_graph(3), (1, 2))
     with pytest.raises(ValueError):
         xi((1, 2), complete_graph(3))

