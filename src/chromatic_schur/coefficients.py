@@ -45,13 +45,8 @@ with any route.
 from __future__ import annotations
 
 from .coeffvec import MONOMIAL, SCHUR, CoefficientVector
-from .graphs import (
-    PENDANT_LAST,
-    LabeledGraph,
-    generalized_net,
-    semi_ordered_counts_by_id,
-)
-from .partitions import UNDEFINED, check_partition, partition_table, partitions_of
+from .graphs import LabeledGraph, generalized_net, semi_ordered_counts_by_id
+from .partitions import UNDEFINED, check_partition, check_shape, partition_table, partitions_of
 from .tableaux import _check_degree, monomial_to_schur
 from .tabloids import _check_route_size, _content_table, signed_g_tabloid_counts
 
@@ -78,9 +73,7 @@ def schur_coefficient(graph: LabeledGraph, lam, method: str = GROUPED) -> int:
     symmetric function of ``graph``."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    lam = check_partition(lam)
-    if sum(lam) != graph.n:
-        raise ValueError("partition size must equal the vertex count")
+    lam = check_shape(lam, graph.n)
     if method == TABLOID:
         return signed_g_tabloid_counts(graph, [lam])[lam]
     if method == GROUPED:
@@ -130,14 +123,14 @@ def f_coefficient(c: int, d: int) -> int:
     """Schur coefficient at shape (2^c, 1^d) of the net with c+d body
     vertices and c pendants; zero for negative arguments.
 
-    Computed by the default route on a pendant-last labeling.  The
-    c = d = 0 case is the empty diagram on the empty graph, whose single
-    empty tabloid gives 1.
+    Computed by the default route on the default (pendant-first) labeling,
+    as a Schur coefficient does not depend on the labels.  The c = d = 0
+    case is the empty diagram on the empty graph, whose single empty
+    tabloid gives 1.
     """
     if c < 0 or d < 0:
         return 0
-    net = generalized_net(c + d, c, PENDANT_LAST)
-    return xi((2,) * c + (1,) * d, net)
+    return xi((2,) * c + (1,) * d, generalized_net(c + d, c))
 
 
 def is_schur_positive(graph: LabeledGraph):

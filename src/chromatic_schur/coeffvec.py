@@ -88,8 +88,3 @@ class CoefficientVector:
             "basis": self.basis,
             "coeffs": [{"partition": list(mu), "value": str(c)} for mu, c in self.items()],
         }
-
-    @classmethod
-    def from_json_dict(cls, payload: dict) -> "CoefficientVector":
-        coeffs = {tuple(e["partition"]): int(e["value"]) for e in payload["coeffs"]}
-        return cls(payload["basis"], coeffs)

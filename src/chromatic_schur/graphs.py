@@ -7,16 +7,16 @@ to share across workers.
 
 Vertex sets are int bitmasks, bit ``v - 1`` for vertex ``v``.  A graph
 keeps the ``edges`` frozenset it was built from, which its equality, repr
-and relabelling read, its roles as one dict from label to tag, empty when
-there are none, and its neighbour bitmasks, ``LabeledGraph.adj``, which its
-key and every enumerator read.  The only result kept per graph is the
-semi-ordered counts of ``semi_ordered_counts_by_id``, the monomial
-coefficients by partition id: one inclusion-exclusion count, which reads
-only ``adj``.  The table of ``stable_sets`` is read by the tabloid route
-and the head/tail statistics alone.  Nets are the spiders whose legs are
-single pendants, and one builder, memoized on its arguments, makes both:
-the second cache kept per process, so each distinct net or spider is built
-once and shared.
+and relabelling read, its roles as one read-only mapping from label to
+tag, empty when there are none, and its neighbour bitmasks,
+``LabeledGraph.adj``, which its key and every enumerator read.  The only
+result kept per graph is the semi-ordered counts of
+``semi_ordered_counts_by_id``, the monomial coefficients by partition id:
+one inclusion-exclusion count, which reads only ``adj``.  The table of
+``stable_sets`` is read by the tabloid route and the head/tail statistics
+alone.  Nets are the spiders whose legs are single pendants, and one
+builder, memoized on its arguments, makes both: the second cache kept per
+process, so each distinct net or spider is built once and shared.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from functools import lru_cache
 from operator import mul
 from types import MappingProxyType
 
-from .partitions import UNDEFINED, check_partition, partition_table
+from .partitions import UNDEFINED, check_partition, check_shape, partition_table
 
 PENDANT = "pendant"
 ANCHOR = "anchor"
@@ -86,7 +86,7 @@ class LabeledGraph:
                 raise ValueError(f"role for unknown vertex {v}")
             if tag not in ROLE_TAGS:
                 raise ValueError(f"unknown role tag {tag!r}")
-        self.roles = roles
+        self.roles = MappingProxyType(roles)  # family graphs are shared
         self.adj = tuple(adj)
 
     @property
@@ -96,21 +96,12 @@ class LabeledGraph:
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> (v - 1) & 1)
 
-    def neighbors(self, v: int) -> frozenset:
-        return frozenset(mask_labels(self.adj[v]))
-
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
-
-    def edge_count(self) -> int:
-        return len(self.edges)
 
     def key(self):
         """Cache key: vertex count plus the neighbour bitmasks under the given labels."""
         return (self.n, self.adj)
-
-    def role_of(self, v: int) -> str | None:
-        return self.roles.get(v)
 
     def labels_with_role(self, *tags: str) -> tuple[int, ...]:
         return tuple(sorted(v for v, tag in self.roles.items() if tag in tags))
@@ -130,6 +121,10 @@ class LabeledGraph:
 
     def __hash__(self) -> int:
         return hash(self.key())
+
+    def __reduce__(self):
+        # a mapping proxy does not pickle, so the roles travel as a dict
+        return LabeledGraph, (self.n, self.edges, dict(self.roles))
 
     def __repr__(self) -> str:
         return f"LabeledGraph(n={self.n}, edges={sorted(self.edges)})"
@@ -215,8 +210,8 @@ def with_disjoint_path(graph, k: int):
         raise ValueError("only P1 and P2 extensions are supported")
     n = graph.n
     if k == 1:
-        return LabeledGraph(n + 1, graph.edges, {**graph.roles, n + 1: ISOLATED})
-    return LabeledGraph(n + 2, [*graph.edges, (n + 1, n + 2)], {**graph.roles, n + 1: LEG, n + 2: LEG})
+        return LabeledGraph(n + 1, graph.edges, graph.roles | {n + 1: ISOLATED})
+    return LabeledGraph(n + 2, [*graph.edges, (n + 1, n + 2)], graph.roles | {n + 1: LEG, n + 2: LEG})
 
 
 def is_claw_free(graph) -> bool:
@@ -356,9 +351,7 @@ def count_semi_ordered_stable_partitions(graph, mu) -> int:
     This is the entry at the id of ``mu`` of ``semi_ordered_counts_by_id``:
     the unordered count times the factorials of the size multiplicities.
     """
-    mu = check_partition(mu)
-    if sum(mu) != graph.n:
-        raise ValueError("partition size must equal the vertex count")
+    mu = check_shape(mu, graph.n)
     return semi_ordered_counts_by_id(graph).get(partition_table(graph.n).ids[mu], 0)
 
 

@@ -51,6 +51,15 @@ def check_partition(parts: Iterable[int]) -> Partition:
     return lam
 
 
+def check_shape(parts: Iterable[int], n: int) -> Partition:
+    """The partition ``parts``, checked to partition ``n``, the vertex count
+    of the graph it is read against."""
+    lam = check_partition(parts)
+    if sum(lam) != n:
+        raise ValueError("partition size must equal the vertex count")
+    return lam
+
+
 def sort_to_partition(kappa: Iterable[int]) -> Partition:
     """Rearrange a composition into a weakly decreasing partition."""
     return tuple(sorted(check_composition(kappa), reverse=True))

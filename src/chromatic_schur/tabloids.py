@@ -28,7 +28,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .graphs import LabeledGraph, mask_labels, stable_sets, vertex_mask
-from .partitions import Partition, check_partition, partition_table
+from .partitions import Partition, check_partition, check_shape, partition_table
 
 Cell = tuple[int, int]
 
@@ -189,9 +189,7 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     count.  Raises ``ValueError`` above ``MAX_TABLOID_VERTICES`` vertices,
     before anything is built."""
     _check_route_size(graph)
-    shapes = tuple(dict.fromkeys(map(check_partition, shapes)))
-    if any(sum(shape) != graph.n for shape in shapes):
-        raise ValueError("partition size must equal the vertex count")
+    shapes = tuple(dict.fromkeys(check_shape(shape, graph.n) for shape in shapes))
     if not shapes:
         return {}
     ids, plans = _hook_plan(shapes)
@@ -230,9 +228,7 @@ def pendant_tail_counts(shape, graph: LabeledGraph, pendants) -> tuple[int, int]
     fill does, before anything is built.
     """
     _check_route_size(graph)
-    shape = check_partition(shape)
-    if sum(shape) != graph.n:
-        raise ValueError("partition size must equal the vertex count")
+    shape = check_shape(shape, graph.n)
     h = _head_rows(shape)
     _, plans = _hook_plan((shape,), h)
     total, only_pendants = _fill(graph, plans, vertex_mask(pendants))
@@ -276,8 +272,7 @@ def head_class_sums(shape, graph: LabeledGraph, pendants) -> dict:
     shape = check_partition(shape)
     if shape[-2:] != (1, 1):
         raise ValueError("the shape must end in two parts equal to 1")
-    if sum(shape) != graph.n:
-        raise ValueError("partition size must equal the vertex count")
+    shape = check_shape(shape, graph.n)
     adj = graph.adj
     stable = stable_sets(graph)
     h = _head_rows(shape)

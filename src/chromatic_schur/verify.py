@@ -298,16 +298,15 @@ def run_spider_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport
 
 def _structure_instance(args) -> dict:
     kind, n, m, labeling, lam = args
-    if kind == "spider":
-        graph = generalized_spider(n, (2,) + (1,) * (m - 1))
-    else:
-        graph = generalized_net(n, m, labeling)
     if kind == "support":
-        # the coefficient must vanish unless this is the permitted rectangle
-        coeff = xi(lam, graph)
+        # the coefficient must vanish unless this is the permitted rectangle;
+        # it does not depend on the labels, so the default net serves
+        coeff = xi(lam, generalized_net(n, m))
         allowed = n == m and lam == (2,) * n
         params = {"kind": "tailless-support", "n": n, "m": m, "lambda": list(lam)}
         return _verdict(params, coeff, coeff if allowed else 0)
+    # the tails do depend on the labels, so nets are checked in both labelings
+    graph = generalized_spider(n, (2,) + (1,) * (m - 1)) if kind == "spider" else generalized_net(n, m, labeling)
     total, offending = pendant_tail_counts(lam, graph, graph.labels_with_role(*PENDANT_ROLES))
     params = {"kind": f"{kind}-pendant-tail", "n": n, "m": m, "labeling": labeling, "lambda": list(lam)}
     return _verdict(params, offending, 0, tabloids=total)
@@ -330,7 +329,7 @@ def run_structure_suite(bound: int, jobs: int = 1) -> VerificationReport:
         raise ValueError("bound must be at least 2")
     check_type_vertices(bound)
     support_params = [
-        ("support", n, m, PENDANT_LAST, lam)
+        ("support", n, m, None, lam)
         for n in range(1, bound + 1)
         for m in range(0, n + 1)
         if n + m <= bound
@@ -364,9 +363,9 @@ def run_structure_suite(bound: int, jobs: int = 1) -> VerificationReport:
 
 def _singleton_removal_instance(args) -> dict:
     c, d = args
-    lhs_graph = with_disjoint_path(generalized_net(c + d, c - 1, PENDANT_LAST), 1)
-    lhs = xi((2,) * c + (1,) * d, lhs_graph)
-    rhs = xi((2,) * (c - 1) + (1,) * (d + 1), generalized_net(c + d, c - 1, PENDANT_LAST))
+    net = generalized_net(c + d, c - 1)
+    lhs = xi((2,) * c + (1,) * d, with_disjoint_path(net, 1))
+    rhs = xi((2,) * (c - 1) + (1,) * (d + 1), net)
     return _verdict({"C": c, "D": d}, lhs, rhs)
 
 

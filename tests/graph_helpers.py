@@ -18,6 +18,7 @@ from chromatic_schur.graphs import (
     SPECIAL_ANCHOR,
     SPECIAL_PENDANT,
     LabeledGraph,
+    mask_labels,
     semi_ordered_counts_by_id,
 )
 from chromatic_schur.partitions import partition_table
@@ -30,7 +31,7 @@ def is_connected(graph) -> bool:
     frontier = [1]
     while frontier:
         v = frontier.pop()
-        for u in graph.neighbors(v):
+        for u in mask_labels(graph.adj[v]):
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -150,11 +151,11 @@ def validate_roles(graph: LabeledGraph) -> None:
     """
     body = set(graph.labels_with_role(*BODY_ROLES))
     for v, tag in graph.roles.items():
-        outside = [u for u in graph.neighbors(v) if u not in body]
+        outside = [u for u in mask_labels(graph.adj[v]) if u not in body]
         if tag in (ANCHOR, SPECIAL_ANCHOR):
             assert len(outside) == 1, f"anchor {v} touches {len(outside)} non-body vertices"
         elif tag == BUOY:
             assert not outside, f"buoy {v} touches a non-body vertex"
         elif tag == SPECIAL_PENDANT:
             assert graph.degree(v) == 1, f"special pendant {v} must have degree 1"
-            assert not (graph.neighbors(v) & body), f"special pendant {v} touches the body"
+            assert not body.intersection(mask_labels(graph.adj[v])), f"special pendant {v} touches the body"

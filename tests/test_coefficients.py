@@ -86,8 +86,9 @@ def test_schur_coefficient_examples():
 
 
 def test_schur_coefficient_validation():
-    with pytest.raises(ValueError):
-        schur_coefficient(complete_graph(3), (2, 2))
+    for method in (TABLOID, GROUPED, ORACLE):
+        with pytest.raises(ValueError, match="partition size must equal the vertex count"):
+            schur_coefficient(complete_graph(3), (2, 2), method)
     with pytest.raises(ValueError):
         schur_coefficient(complete_graph(3), (2, 1), method="magic")
     with pytest.raises(ValueError):

@@ -118,7 +118,7 @@ def hung_clique_chromatic_values(graph) -> list[int]:
     # contracting the clique leaves a connected graph on p + 1 vertices with
     # p edges, a tree, and each tree vertex colours k - 1 ways
     assert inside == len(body) * (len(body) - 1) // 2
-    assert is_connected(graph) and graph.edge_count() - inside == hung
+    assert is_connected(graph) and len(graph.edges) - inside == hung
     return [prod(range(k - len(body) + 1, k + 1)) * (k - 1) ** hung for k in range(1, graph.n + 1)]
 
 

@@ -257,7 +257,7 @@ def test_recurrence_sweep_checks_each_partition_once(monkeypatch):
 
     checks = 0
     defined_calls = 0
-    check = coefficients.check_partition
+    check, check_shape = coefficients.check_partition, coefficients.check_shape
     xi = verify.xi
 
     def counted_check(parts):
@@ -265,14 +265,20 @@ def test_recurrence_sweep_checks_each_partition_once(monkeypatch):
         checks += 1
         return check(parts)
 
+    def counted_shape_check(parts, n):
+        nonlocal checks
+        checks += 1
+        return check_shape(parts, n)
+
     def counted_xi(lam, graph):
         nonlocal defined_calls
         if lam is not UNDEFINED and graph is not UNDEFINED:
             defined_calls += 1
         return xi(lam, graph)
 
-    monkeypatch.setattr(coefficients, "check_partition", counted_check)
-    monkeypatch.setattr(tabloids, "check_partition", counted_check)
+    for module in (coefficients, tabloids):
+        monkeypatch.setattr(module, "check_partition", counted_check)
+        monkeypatch.setattr(module, "check_shape", counted_shape_check)
     monkeypatch.setattr(verify, "xi", counted_xi)
     report = run_net_recurrence_suite(4, jobs=1)
     assert report.passed and len(report.instances) == 59
