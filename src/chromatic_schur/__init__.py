@@ -44,7 +44,6 @@ from .graphs import (
 from .partitions import (
     UNDEFINED,
     partitions_of,
-    sort_to_partition,
     strip_trailing_ones,
 )
 from .tableaux import monomial_to_schur
@@ -76,7 +75,6 @@ __all__ = [
     "path_graph",
     "schur_coefficient",
     "schur_expansion",
-    "sort_to_partition",
     "star_graph",
     "strip_trailing_ones",
     "with_disjoint_path",

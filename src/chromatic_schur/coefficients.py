@@ -18,12 +18,13 @@ vertices.  ``test_principal_specialization`` checks each route alone, also
 up to 10.  Grouped and tabloid meet up to 12
 (``test_signed_g_tabloid_counts_equal_the_grouped_route``) and at 14 and 16
 in CI (GS(7,[2,1,1,1,1,1]) and GN(8,8)), grouped and oracle at 16 and 17
-(``test_expand_json_digests``) and at 22 in CI.  A
-power-sum expansion meets all three on the 6-vertex census, and grouped on
-the 7-vertex census and GN(6,6).  Grouped is also checked alone, 16 to 20
-(``test_principal_specialization_at_the_frontier``): principal
-specialization against closed-form chromatic polynomials, and sum c_lambda
-f^lambda = n!.
+(``test_expand_json_digests``) and at 22 in CI.  A power-sum expansion
+meets all three on the 6-vertex census, and grouped on the 7-vertex census
+and GN(6,6), and in CI on GN(8,8), GS(8,[2,1^7]) and
+``random_graph(16, random.Random(1), 0.3)``.  Grouped is also checked
+alone, 16 to 20 (``test_principal_specialization_at_the_frontier``):
+principal specialization against closed-form chromatic polynomials, and
+sum c_lambda f^lambda = n!.
 
 The routes are not wholly independent.  Grouped and oracle share the
 monomial expansion, one inclusion-exclusion count in ``graphs`` that reads
@@ -32,14 +33,18 @@ read-only per graph and keyed by the partition ids of
 ``partitions.partition_table``, are the only cache keyed by graph.  The
 tabloid route alone reads stable sets, from the table of
 ``graphs.stable_sets``, which the tests check against the bitmask
-enumerator, and that against brute force.  Grouped and tabloid, and the
-suites' head/tail statistics, peel rim hooks with one arithmetic peel,
-``tabloids.bottom_hooks``; the tests check it against a cell peel of their
-own, and that against a brute-force tiler.  The grouped route dots the
-counts, id against id, with the shape's signed content table and builds no
-``CoefficientVector`` and no hook cells.  Every tabloid memo lives for one
-call.  The principal-specialization and power-sum tests share no code
-with any route.
+enumerator, and that against brute force.  Every route reads adjacency
+from ``adj``; the tests' brute-force G-tabloid stream, claw check by
+quadruples and tail and cancellation stream checks read it from
+``LabeledGraph.edges`` instead, so a wrong bit in ``adj`` shows up as a
+disagreement.  Grouped and tabloid, and the suites' head/tail statistics,
+peel rim hooks with one arithmetic peel, ``tabloids.bottom_hooks``; the
+tests check it against a cell peel of their own, and that against a
+brute-force tiler.  The grouped route dots the counts, id against id,
+with the shape's signed content table and builds no ``CoefficientVector``
+and no hook cells.  Every tabloid memo lives for one call.  The
+principal-specialization and power-sum tests share no code with any
+route.
 """
 
 from __future__ import annotations

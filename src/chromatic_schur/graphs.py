@@ -7,7 +7,7 @@ to share across workers.
 
 Vertex sets are int bitmasks, bit ``v - 1`` for vertex ``v``.  A graph
 keeps the ``edges`` frozenset it was built from, which its equality, repr
-and relabelling read, its roles as one read-only mapping from label to
+and pickling read, its roles as one read-only mapping from label to
 tag, empty when there are none, and its neighbour bitmasks,
 ``LabeledGraph.adj``, which its key and every enumerator read.  The only
 result kept per graph is the semi-ordered counts of
@@ -93,26 +93,12 @@ class LabeledGraph:
     def vertices(self) -> range:
         return range(1, self.n + 1)
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> (v - 1) & 1)
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
     def key(self):
         """Cache key: vertex count plus the neighbour bitmasks under the given labels."""
         return (self.n, self.adj)
 
     def labels_with_role(self, *tags: str) -> tuple[int, ...]:
         return tuple(sorted(v for v, tag in self.roles.items() if tag in tags))
-
-    def relabel(self, perm: dict[int, int]) -> "LabeledGraph":
-        """Apply a permutation of the labels 1..n."""
-        if sorted(perm) != list(self.vertices) or sorted(perm.values()) != list(self.vertices):
-            raise ValueError("perm must be a permutation of the vertex labels")
-        edges = [(perm[u], perm[v]) for u, v in self.edges]
-        roles = {perm[v]: tag for v, tag in self.roles.items()}
-        return LabeledGraph(self.n, edges, roles)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabeledGraph):

@@ -1,9 +1,8 @@
-"""Integer partitions and compositions.
+"""Integer partitions.
 
 Partitions are plain tuples of weakly decreasing positive integers; the
-empty tuple is the empty partition.  Compositions are tuples of positive
-integers in any order.  Everything here is exact and hashable so results
-can be cached freely.
+empty tuple is the empty partition.  Everything here is exact and hashable
+so results can be cached freely.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from types import MappingProxyType
 from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
-Composition = tuple[int, ...]
 
 
 class _UndefinedType:
@@ -37,15 +35,10 @@ class _UndefinedType:
 UNDEFINED = _UndefinedType()
 
 
-def check_composition(parts: Iterable[int]) -> Composition:
-    kappa = tuple(int(p) for p in parts)
-    if any(p < 1 for p in kappa):
-        raise ValueError(f"composition parts must be positive: {kappa}")
-    return kappa
-
-
 def check_partition(parts: Iterable[int]) -> Partition:
-    lam = check_composition(parts)
+    lam = tuple(int(p) for p in parts)
+    if any(p < 1 for p in lam):
+        raise ValueError(f"composition parts must be positive: {lam}")
     if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
         raise ValueError(f"partition parts must be weakly decreasing: {lam}")
     return lam
@@ -58,11 +51,6 @@ def check_shape(parts: Iterable[int], n: int) -> Partition:
     if sum(lam) != n:
         raise ValueError("partition size must equal the vertex count")
     return lam
-
-
-def sort_to_partition(kappa: Iterable[int]) -> Partition:
-    """Rearrange a composition into a weakly decreasing partition."""
-    return tuple(sorted(check_composition(kappa), reverse=True))
 
 
 def strip_trailing_ones(lam: Iterable[int], t: int):

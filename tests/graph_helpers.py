@@ -42,7 +42,7 @@ def are_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
     """Brute-force isomorphism test for small graphs (ignores roles)."""
     if g.n != h.n or len(g.edges) != len(h.edges):
         return False
-    if sorted(map(g.degree, g.vertices)) != sorted(map(h.degree, h.vertices)):
+    if sorted(g.adj[v].bit_count() for v in g.vertices) != sorted(h.adj[v].bit_count() for v in h.vertices):
         return False
     source = list(g.vertices)
     for perm in itertools.permutations(h.vertices):
@@ -57,12 +57,13 @@ def are_isomorphic(g: LabeledGraph, h: LabeledGraph) -> bool:
 
 def is_claw_free_by_quadruples(graph) -> bool:
     """True iff no four vertices induce a star K_{1,3}, by checking every
-    4-set and every centre in it."""
+    4-set and every centre in it.  Adjacency is read from ``graph.edges``,
+    not from the bitmasks every route reads."""
     for quad in itertools.combinations(graph.vertices, 4):
         for center in quad:
             leaves = [v for v in quad if v != center]
-            if all(graph.adjacent(center, u) for u in leaves) and not any(
-                graph.adjacent(u, w) for u, w in itertools.combinations(leaves, 2)
+            if all((min(center, u), max(center, u)) in graph.edges for u in leaves) and not any(
+                pair in graph.edges for pair in itertools.combinations(leaves, 2)
             ):
                 return False
     return True
@@ -140,7 +141,16 @@ def random_relabeling(graph: LabeledGraph, rng: random.Random) -> LabeledGraph:
     labels = list(graph.vertices)
     shuffled = labels[:]
     rng.shuffle(shuffled)
-    return graph.relabel(dict(zip(labels, shuffled)))
+    return relabel(graph, dict(zip(labels, shuffled)))
+
+
+def relabel(graph: LabeledGraph, perm: dict[int, int]) -> LabeledGraph:
+    """Apply a permutation of the labels 1..n."""
+    if sorted(perm) != list(graph.vertices) or sorted(perm.values()) != list(graph.vertices):
+        raise ValueError("perm must be a permutation of the vertex labels")
+    edges = [(perm[u], perm[v]) for u, v in graph.edges]
+    roles = {perm[v]: tag for v, tag in graph.roles.items()}
+    return LabeledGraph(graph.n, edges, roles)
 
 
 def validate_roles(graph: LabeledGraph) -> None:
@@ -157,5 +167,5 @@ def validate_roles(graph: LabeledGraph) -> None:
         elif tag == BUOY:
             assert not outside, f"buoy {v} touches a non-body vertex"
         elif tag == SPECIAL_PENDANT:
-            assert graph.degree(v) == 1, f"special pendant {v} must have degree 1"
+            assert graph.adj[v].bit_count() == 1, f"special pendant {v} must have degree 1"
             assert not body.intersection(mask_labels(graph.adj[v])), f"special pendant {v} touches the body"

@@ -202,7 +202,9 @@ def srh_g_tabloids(shape, graph):
     The sorted placement is the unique one satisfying the increasing-read
     condition, so it is enforced by construction rather than filtered.
     Each hook's set is a combination of the labels left, in lexicographic
-    order, kept when no two of its labels are adjacent.
+    order, kept when no two of its labels are adjacent.  Adjacency is read
+    from ``graph.edges``, not from the bitmasks ``LabeledGraph.adj`` that
+    every route reads, so a wrong bit there shows up as a disagreement.
     """
     if shape is UNDEFINED or graph is UNDEFINED:
         return
@@ -217,7 +219,7 @@ def srh_g_tabloids(shape, graph):
             return
         for hook, reduced in peel_bottom_hooks(current):
             for group in itertools.combinations(remaining, hook.length):
-                if any(graph.adjacent(u, v) for u, v in itertools.combinations(group, 2)):
+                if any(pair in graph.edges for pair in itertools.combinations(group, 2)):
                     continue
                 hooks.append(hook)
                 fills.append(group)

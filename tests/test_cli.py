@@ -31,7 +31,7 @@ def test_parse_graph_shorthands():
     g = parse_graph_shorthand("GN(4,2)+P1")
     assert g.n == 7 and len(g.edges) == 8
     g = parse_graph_shorthand("GS(3,[2,1])+P2")
-    assert g.n == 8 and g.adjacent(7, 8)
+    assert g.n == 8 and (7, 8) in g.edges
     assert parse_graph_shorthand("GS(3,[])").n == 3
 
 
@@ -47,6 +47,8 @@ def test_parse_partition_text():
     assert parse_partition_text("") == ()
     with pytest.raises(ValueError):
         parse_partition_text("1,2")
+    with pytest.raises(ValueError, match="composition parts must be positive"):
+        parse_partition_text("2,0")
 
 
 def test_expand_json_positive_net(capsys):

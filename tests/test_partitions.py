@@ -7,30 +7,11 @@ from chromatic_schur.partitions import (
     check_partition,
     partition_table,
     partitions_of,
-    sort_to_partition,
     strip_trailing_ones,
 )
 
 # p(0)..p(8)
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22]
-
-
-def test_sort_examples():
-    assert sort_to_partition([2, 5, 1]) == (5, 2, 1)
-    assert sort_to_partition([]) == ()
-    assert sort_to_partition([3, 3, 1]) == (3, 3, 1)
-
-
-def test_sort_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        sort_to_partition([2, 0])
-
-
-@given(st.lists(st.integers(min_value=1, max_value=9), max_size=8))
-def test_sort_idempotent_on_partitions(parts):
-    lam = sort_to_partition(parts)
-    assert sort_to_partition(lam) == lam
-    assert sum(lam) == sum(parts)
 
 
 def test_strip_trailing_ones_examples():
@@ -44,7 +25,7 @@ def test_strip_trailing_ones_examples():
 
 @given(st.lists(st.integers(min_value=1, max_value=9), max_size=8))
 def test_strip_zero_is_identity(parts):
-    lam = sort_to_partition(parts)
+    lam = tuple(sorted(parts, reverse=True))
     assert strip_trailing_ones(lam, 0) == lam
 
 
