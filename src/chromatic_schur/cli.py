@@ -176,7 +176,7 @@ def _report_text(report: VerificationReport, timing: bool) -> str:
     return "\n".join(lines)
 
 
-def _f_table_text(report: VerificationReport) -> str:
+def _f_table_text(report: VerificationReport, timing: bool) -> str:
     values = {
         (i["params"]["C"], i["params"]["D"]): i["value"]
         for i in report.instances
@@ -194,7 +194,8 @@ def _f_table_text(report: VerificationReport) -> str:
         lines.append(row)
     checks = [i for i in report.instances if i["params"].get("kind") != "value"]
     bad = [i for i in checks if i["status"] == "fail"]
-    lines.append(f"identities checked: {len(checks)}, failures: {len(bad)}")
+    timed = f", {report.wall_time_ms} ms" if timing else ""
+    lines.append(f"identities checked: {len(checks)}, failures: {len(bad)}{timed}")
     for inst in bad:
         lines.append(f"  FAIL {json.dumps(inst['params'], sort_keys=True)} lhs={inst['lhs']} rhs={inst['rhs']}")
     return "\n".join(lines)
@@ -230,10 +231,8 @@ def _emit_reports(reports: list[VerificationReport], args) -> int:
         print(_report_csv(reports), end="")
     else:
         for report in reports:
-            if report.statement_id == "f-table":
-                print(_f_table_text(report))
-            else:
-                print(_report_text(report, args.timing))
+            text = _f_table_text if report.statement_id == "f-table" else _report_text
+            print(text(report, args.timing))
     return 0 if all(r.passed for r in reports) else 1
 
 

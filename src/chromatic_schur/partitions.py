@@ -2,7 +2,11 @@
 
 Partitions are plain tuples of weakly decreasing positive integers; the
 empty tuple is the empty partition.  Everything here is exact and hashable
-so results can be cached freely.
+so results can be cached freely.  ``UNDEFINED``, a bare ``object()`` equal
+to no other value, stands for a partition or graph a recurrence cannot
+build, such as a shape with too few trailing ones to strip; a term built
+from it is zero rather than an error.  It is tested by identity, so it must
+not cross a pickle, whose copy would be another object.
 """
 
 from __future__ import annotations
@@ -13,26 +17,7 @@ from typing import Iterable, NamedTuple
 
 Partition = tuple[int, ...]
 
-
-class _UndefinedType:
-    """Singleton marker for not-properly-defined partitions and graphs.
-
-    Recurrence terms built from it must contribute zero instead of raising,
-    so it is an in-band value rather than an exception.
-    """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Undefined"
-
-
-UNDEFINED = _UndefinedType()
+UNDEFINED = object()
 
 
 def check_partition(parts: Iterable[int]) -> Partition:
@@ -58,14 +43,9 @@ def strip_trailing_ones(lam: Iterable[int], t: int):
     lam = check_partition(lam)
     if t < 0:
         raise ValueError("number of parts to strip must be nonnegative")
-    ones = 0
-    for p in reversed(lam):
-        if p != 1:
-            break
-        ones += 1
-    if t > ones:
+    if lam[len(lam) - t :] != (1,) * t:
         return UNDEFINED
-    return lam[: len(lam) - t] if t else lam
+    return lam[: len(lam) - t]
 
 
 @lru_cache(maxsize=None)

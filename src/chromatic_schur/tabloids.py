@@ -134,7 +134,7 @@ def _hook_plan(shapes: tuple[Partition, ...], h: int | None = None):
     return ids, plans
 
 
-def _fill(graph: LabeledGraph, plans, pend: int = 0) -> list:
+def _fill(graph: LabeledGraph, plans, pend: int) -> list:
     """The slots of size ``graph.n`` of ``plans``, by a DP on the
     remaining-vertex bitmask: a state with k vertices left holds every slot
     of size k filled with exactly those vertices.  Per (length, j) group it
@@ -193,7 +193,7 @@ def signed_g_tabloid_counts(graph: LabeledGraph, shapes) -> dict:
     if not shapes:
         return {}
     ids, plans = _hook_plan(shapes)
-    top = _fill(graph, plans)
+    top = _fill(graph, plans, 0)
     return {shape: top[ids[shape]] for shape in shapes}
 
 

@@ -196,13 +196,18 @@ def _map_instances(fn, params: list, jobs: int) -> list:
 
 
 def _map_within_budget(fn, priced: list, jobs: int, budget_ms: int) -> list:
-    """Map ``fn`` over the args of each ``(nominal cost, report params, args)``
-    triple priced within the budget; a budget skip record stands in place of
-    each instance priced above it."""
-    results = iter(_map_instances(fn, [args for cost, _, args in priced if cost <= budget_ms], jobs))
+    """Map ``fn`` over the args of each ``(vertices, nominal cost, report
+    params, args)`` entry priced within the budget; a budget skip record
+    stands in place of each instance priced above it.  Before any work the
+    largest graph that will run is checked against the type cap, so a graph
+    the budget skips is never refused for its size.  The suites that gate
+    instances leave both rules to this function."""
+    run = [(n, args) for n, cost, _, args in priced if cost <= budget_ms]
+    check_type_vertices(max((n for n, _ in run), default=0))
+    results = iter(_map_instances(fn, [args for _, args in run], jobs))
     return [
         next(results) if cost <= budget_ms else {"params": params, "status": "skip", "reason": "budget"}
-        for cost, params, _ in priced
+        for _, cost, params, _ in priced
     ]
 
 
@@ -488,11 +493,10 @@ def run_positivity_sweep(n_max: int, jobs: int = 1, budget_ms: int = DEFAULT_BUD
     nets = [{"kind": "net", "n": n, "m": m} for n in range(1, n_max + 1) for m in range(0, n + 1)]
     claw = {"kind": "claw-control", "expected_witness": [2, 2], "expected_value": -1}
     spiders = [{"kind": "spider-report", "n": n, "m": m} for n in range(3, n_max + 1) for m in range(1, n + 1)]
-    # nets and the control are never gated; a spider has n + m + 1 vertices
-    priced = [(0, p, p) for p in nets + [claw]]
-    priced += [(nominal_cost_ms(p["n"] + p["m"] + 1), p, p) for p in spiders]
-    spiders_run = [p["n"] + p["m"] + 1 for cost, p, _ in priced if p["kind"] == "spider-report" and cost <= budget_ms]
-    check_type_vertices(max([2 * n_max, *spiders_run]))  # GN(n_max, n_max) or a spider run
+    # nets and the control, the 4-vertex claw, are never gated; a spider has
+    # n + m + 1 vertices
+    priced = [(p["n"] + p["m"], 0, p, p) for p in nets] + [(4, 0, claw, claw)]
+    priced += [(p["n"] + p["m"] + 1, nominal_cost_ms(p["n"] + p["m"] + 1), p, p) for p in spiders]
     started = time.monotonic()
     instances = _map_within_budget(_positivity_instance, priced, jobs, budget_ms)
     return _finish("net-positivity", instances, started)
@@ -569,9 +573,8 @@ def run_open_coefficient_report(
     for n in range(3, n_max + 1):
         for family, lam, body, legs in _open_families(n):
             params = {"family": family, "n": n, "lambda": list(lam), "graph": f"GS({body},{list(legs)})"}
-            priced.append((nominal_cost_ms(body + sum(legs)), params, (params, lam, body, legs)))
-    spiders_run = [body + sum(legs) for cost, _, (_, _, body, legs) in priced if cost <= budget_ms]
-    check_type_vertices(max(spiders_run, default=0))
+            vertices = body + sum(legs)
+            priced.append((vertices, nominal_cost_ms(vertices), params, (params, lam, body, legs)))
     started = time.monotonic()
     instances = _map_within_budget(_open_coefficient_instance, priced, jobs, budget_ms)
     return _finish("open-spider-coefficients", instances, started)

@@ -297,6 +297,12 @@ def test_timing_reports_the_measured_wall_time(capsys):
     assert code == 0 and json.loads(out)["reports"][0]["wall_time_ms"] == 0
     code, out, _ = run_cli(capsys, "net-rec", "--n-max", "2")
     assert code == 0 and not out.splitlines()[0].endswith(" ms)")
+    # f-table's text report ends in its identity summary, which carries the time
+    code, out, _ = run_cli(capsys, "--timing", "f-table", "--bound", "3")
+    assert code == 0
+    assert re.fullmatch(r"identities checked: 10, failures: 0, \d+ ms", out.splitlines()[-1]), out
+    code, out, _ = run_cli(capsys, "f-table", "--bound", "3")
+    assert code == 0 and out.splitlines()[-1] == "identities checked: 10, failures: 0"
 
 
 def test_cancel_outside_its_hypothesis_exit_2(capsys):
@@ -349,10 +355,16 @@ def test_all_runs_every_suite(capsys, monkeypatch, jobs):
         "f-table",
         "open-spider-coefficients",
     ]
-    # a change that alters report output on purpose updates this digest
+    # a change that alters report output on purpose updates these digests
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "c9ef7a4ea9c6983cb0dab9c59e43ac10c3d125b89fc063e07a1374af48e1431c"
     )
+    for argv, digest in (
+        (("--format", "csv"), "32151295637b2acc645cd272766d7a95cfb4a20c24b99b0bd1dd32fb6d54bd0f"),
+        ((), "f5c3e22954b6a48965106aa72be1c3ba4d57e143c6a1d68cf1b016ac5e32a651"),
+    ):
+        code, out, _ = run_cli(capsys, "--jobs", jobs, *argv, "all")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_all_matches_the_suite_commands_one_at_a_time(capsys):
