@@ -31,6 +31,7 @@ from .graphs import (
 from .partitions import UNDEFINED, check_partition
 from .verify import (
     DEFAULT_BUDGET_MS,
+    FORK_VERTICES,
     VerificationReport,
     nominal_cost_ms,
     run_cancellation_check,
@@ -105,7 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "with batch verification of the identities they satisfy.",
     )
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="N",
+        help=f"at most N workers; sweeps under {FORK_VERTICES} vertices run in-process",
+    )
     parser.add_argument(
         "--budget-ms",
         type=int,

@@ -265,12 +265,14 @@ def semi_ordered_counts_by_id(graph) -> MappingProxyType:
     return _types_for(graph.key())
 
 
-def check_type_vertices(n: int) -> None:
-    """Raise ``ValueError`` when a graph on ``n`` vertices is past
-    ``MAX_TYPE_VERTICES``, the cap of the stable-partition type count.  A
-    suite calls it with the largest graph it would run, before any work."""
+def check_type_vertices(n: int) -> int:
+    """Return ``n``, or raise ``ValueError`` when a graph on ``n`` vertices
+    is past ``MAX_TYPE_VERTICES``, the cap of the stable-partition type
+    count.  A suite calls it with the largest graph it would run, before any
+    work."""
     if n > MAX_TYPE_VERTICES:
         raise ValueError(f"{n} vertices exceed the cap of {MAX_TYPE_VERTICES} on stable-partition types")
+    return n
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)

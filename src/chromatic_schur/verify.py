@@ -7,18 +7,21 @@ reproduced from the report alone.
 
 Instance evaluation functions are pure and take plain tuples or dicts, so
 suites can fan out over worker processes; results are merged back in the
-canonical instance order regardless of worker count.  The map forks its
-workers itself, at most one per instance and per CPU this process may run
-on, and deals the instances one at a time: of w workers, worker i takes
+canonical instance order regardless of worker count.  Each suite names the
+vertex count of the largest graph it runs, and the map forks only for a
+sweep whose largest graph has at least ``FORK_VERTICES`` vertices; smaller
+sweeps run in this process whatever ``--jobs`` says, since each worker would
+refill the per-graph and per-shape caches that one process fills once.  It
+forks at most one worker per instance and per CPU this process may run on,
+and deals the instances one at a time: of w workers, worker i takes
 instances i, i + w, i + 2w, ..., so a suite whose cost rises along its
 parameters is spread over every worker.  Each worker pickles its results,
 or the exception it raised, down a pipe and leaves by ``os._exit``.  There
 is no executor: importing ``concurrent.futures`` cost every process more
-than all the command line's other imports together, though only ``--jobs``
-above 1 forks, and importing it only to fork moved that cost into the
-suites that fork.  Forking is safe because the package starts no thread.
-A report's verdicts are read from its instance records, and a suite with a
-cost budget keeps a skip record in place of each instance priced above it.
+than all the command line's other imports together.  Forking is safe
+because the package starts no thread.  A report's verdicts are read from
+its instance records, and a suite with a cost budget keeps a skip record in
+place of each instance priced above it.
 """
 
 from __future__ import annotations
@@ -115,6 +118,14 @@ def _verdict(params: dict, lhs, rhs, **detail) -> dict:
     return {"params": params, "lhs": lhs, "rhs": rhs, **detail, "status": "pass" if lhs == rhs else "fail"}
 
 
+# A sweep forks workers only when its largest graph has at least this many
+# vertices; below it each worker refills the type counts and content tables
+# that one process fills once.  The sweep in README's --jobs table, on a
+# 2-vCPU host: --jobs 2 took x1.01-1.46 of --jobs 1's time at 16 vertices,
+# x0.91-1.20 at 18, x0.68-0.80 at 20 and x0.72 at 22.
+FORK_VERTICES = 20
+
+
 def _usable_cpus() -> int:
     """The CPUs this process may run on, or all of them where the platform
     cannot say."""
@@ -144,11 +155,13 @@ def _answer(fn, params: list, write_fd: int):
         os._exit(status)
 
 
-def _map_instances(fn, params: list, jobs: int) -> list:
+def _map_instances(fn, params: list, jobs: int, vertices: int) -> list:
+    """Map ``fn`` over ``params`` in canonical order, forking workers only
+    when the sweep's largest graph has ``vertices >= FORK_VERTICES``."""
     # never fork more workers than there are instances or CPUs this process
     # may run on
     workers = min(jobs, len(params), _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork"):
+    if workers < 2 or vertices < FORK_VERTICES or not hasattr(os, "fork"):
         return [fn(p) for p in params]
     import pickle  # only a call that forks pays for it
 
@@ -195,25 +208,27 @@ def _map_instances(fn, params: list, jobs: int) -> list:
     return results
 
 
-def _map_within_budget(fn, priced: list, jobs: int, budget_ms: int) -> list:
-    """Map ``fn`` over the args of each ``(vertices, nominal cost, report
-    params, args)`` entry priced within the budget; a budget skip record
-    stands in place of each instance priced above it.  Before any work the
-    largest graph that will run is checked against the type cap, so a graph
-    the budget skips is never refused for its size.  The suites that gate
-    instances leave both rules to this function."""
-    run = [(n, args) for n, cost, _, args in priced if cost <= budget_ms]
-    check_type_vertices(max((n for n, _ in run), default=0))
-    results = iter(_map_instances(fn, [args for _, args in run], jobs))
+def _map_within_budget(fn, priced: list, jobs: int, budget_ms: int, describe) -> list:
+    """Map ``fn`` over the args of each ``(vertices, nominal cost, args)``
+    entry priced within the budget; a budget skip record, whose params are
+    ``describe(args)``, stands in place of each instance priced above it.
+    Before any work the largest graph that will run is checked against the
+    type cap, so a graph the budget skips is never refused for its size.
+    The suites that gate instances leave both rules to this function, and
+    keep their args small, so that a bound past the cap is refused before
+    any shape is built."""
+    run = [(n, args) for n, cost, args in priced if cost <= budget_ms]
+    vertices = check_type_vertices(max((n for n, _ in run), default=0))
+    results = iter(_map_instances(fn, [args for _, args in run], jobs, vertices))
     return [
-        next(results) if cost <= budget_ms else {"params": params, "status": "skip", "reason": "budget"}
-        for _, cost, params, _ in priced
+        next(results) if cost <= budget_ms else {"params": describe(args), "status": "skip", "reason": "budget"}
+        for _, cost, args in priced
     ]
 
 
-def _run(statement_id: str, fn, params: list, jobs: int) -> VerificationReport:
+def _run(statement_id: str, fn, params: list, jobs: int, vertices: int) -> VerificationReport:
     started = time.monotonic()
-    return _finish(statement_id, _map_instances(fn, params, jobs), started)
+    return _finish(statement_id, _map_instances(fn, params, jobs, vertices), started)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +254,7 @@ def run_net_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport:
     over 1 <= m <= n <= n_max and every shape ending in a part equal to 1."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    check_type_vertices(2 * n_max)  # GN(n_max, n_max)
+    vertices = check_type_vertices(2 * n_max)  # GN(n_max, n_max)
     params = [
         (n, m, lam)
         for n in range(1, n_max + 1)
@@ -247,7 +262,7 @@ def run_net_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport:
         for lam in partitions_of(n + m)
         if lam[-1] == 1
     ]
-    return _run("net-recurrence", _net_recurrence_instance, params, jobs)
+    return _run("net-recurrence", _net_recurrence_instance, params, jobs, vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +301,7 @@ def run_spider_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport
     3 <= n <= n_max, 2 <= m <= n, and shapes with two trailing parts 1."""
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
-    check_type_vertices(2 * n_max + 1)  # GS(n_max, (2, 1^(n_max - 1)))
+    vertices = check_type_vertices(2 * n_max + 1)  # GS(n_max, (2, 1^(n_max - 1)))
     params = [
         (n, m, lam)
         for n in range(3, n_max + 1)
@@ -294,7 +309,7 @@ def run_spider_recurrence_suite(n_max: int, jobs: int = 1) -> VerificationReport
         for lam in partitions_of(n + m + 1)
         if len(lam) >= 2 and lam[-1] == 1 and lam[-2] == 1
     ]
-    return _run("spider-recurrence", _spider_recurrence_instance, params, jobs)
+    return _run("spider-recurrence", _spider_recurrence_instance, params, jobs, vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +374,7 @@ def run_structure_suite(bound: int, jobs: int = 1) -> VerificationReport:
         for lam in partitions_of(n + m + 1)
         if len(lam) >= 2 and lam[-1] == 1 and lam[-2] == 1
     ]
-    return _run("net-structure", _structure_instance, support_params + tail_params + spider_tail_params, jobs)
+    return _run("net-structure", _structure_instance, support_params + tail_params + spider_tail_params, jobs, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +395,9 @@ def run_singleton_removal_suite(bound: int, jobs: int = 1) -> VerificationReport
     graph equal those at (2^(C-1),1^(D+1)) of the bare net, for C+D <= bound."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    check_type_vertices(2 * bound)  # GN(bound, bound - 1) + P1
+    vertices = check_type_vertices(2 * bound)  # GN(bound, bound - 1) + P1
     params = [(c, d) for c in range(1, bound + 1) for d in range(0, bound - c + 1)]
-    return _run("singleton-removal", _singleton_removal_instance, params, jobs)
+    return _run("singleton-removal", _singleton_removal_instance, params, jobs, vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +505,16 @@ def run_positivity_sweep(n_max: int, jobs: int = 1, budget_ms: int = DEFAULT_BUD
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
+    check_type_vertices(2 * n_max)  # GN(n_max, n_max), never gated, refused before any list is built
     nets = [{"kind": "net", "n": n, "m": m} for n in range(1, n_max + 1) for m in range(0, n + 1)]
     claw = {"kind": "claw-control", "expected_witness": [2, 2], "expected_value": -1}
     spiders = [{"kind": "spider-report", "n": n, "m": m} for n in range(3, n_max + 1) for m in range(1, n + 1)]
     # nets and the control, the 4-vertex claw, are never gated; a spider has
-    # n + m + 1 vertices
-    priced = [(p["n"] + p["m"], 0, p, p) for p in nets] + [(4, 0, claw, claw)]
-    priced += [(p["n"] + p["m"] + 1, nominal_cost_ms(p["n"] + p["m"] + 1), p, p) for p in spiders]
+    # n + m + 1 vertices; each instance's args are its report params
+    priced = [(p["n"] + p["m"], 0, p) for p in nets] + [(4, 0, claw)]
+    priced += [(p["n"] + p["m"] + 1, nominal_cost_ms(p["n"] + p["m"] + 1), p) for p in spiders]
     started = time.monotonic()
-    instances = _map_within_budget(_positivity_instance, priced, jobs, budget_ms)
+    instances = _map_within_budget(_positivity_instance, priced, jobs, budget_ms, lambda p: p)
     return _finish("net-positivity", instances, started)
 
 
@@ -521,10 +537,10 @@ def run_f_table_suite(bound: int, jobs: int = 1) -> VerificationReport:
     and the plain factorial form on the C = 0 axis."""
     if bound < 0:
         raise ValueError("bound must be nonnegative")
-    check_type_vertices(2 * bound)  # GN(bound, bound) for f(bound, 0)
+    vertices = check_type_vertices(2 * bound)  # GN(bound, bound) for f(bound, 0)
     value_params = [(c, d) for total in range(bound + 1) for c in range(total, -1, -1) for d in (total - c,)]
     started = time.monotonic()
-    instances = _map_instances(_f_value_instance, value_params, jobs)
+    instances = _map_instances(_f_value_instance, value_params, jobs, vertices)
     f = {(inst["params"]["C"], inst["params"]["D"]): inst["value"] for inst in instances}
     instances += [
         _verdict({"kind": "recurrence", "C": c, "D": d}, f[c, d], c * f[c - 1, d] + d * f[c, d - 1])
@@ -545,19 +561,22 @@ def run_f_table_suite(bound: int, jobs: int = 1) -> VerificationReport:
 # open coefficient families
 
 
-def _open_families(n: int):
+def _open_instance(key):
+    """The report params, shape and spider legs of open family ``k`` at
+    body ``n``, for ``key = (n, k)``."""
+    n, k = key
     long_legs = (2,) + (1,) * (n - 1)
-    short_legs = (2,) + (1,) * (n - 2)
-    return (
-        ("one-wide-row", (3,) + (2,) * (n - 1), n, long_legs),
-        ("single-tail-cell", (2,) * n + (1,), n, long_legs),
-        ("tailless", (2,) * n, n, short_legs),
-    )
+    family, lam, legs = (
+        ("one-wide-row", (3,) + (2,) * (n - 1), long_legs),
+        ("single-tail-cell", (2,) * n + (1,), long_legs),
+        ("tailless", (2,) * n, long_legs[:-1]),
+    )[k]
+    return {"family": family, "n": n, "lambda": list(lam), "graph": f"GS({n},{list(legs)})"}, lam, legs
 
 
-def _open_coefficient_instance(args) -> dict:
-    params, lam, body, legs = args
-    value = xi(lam, generalized_spider(body, legs))
+def _open_coefficient_instance(key) -> dict:
+    params, lam, legs = _open_instance(key)
+    value = xi(lam, generalized_spider(key[0], legs))
     return {"params": params, "value": value, "negative": value < 0, "status": "report"}
 
 
@@ -569,12 +588,15 @@ def run_open_coefficient_report(
     beyond the cost budget are skipped with a budget marker."""
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
-    priced = []
-    for n in range(3, n_max + 1):
-        for family, lam, body, legs in _open_families(n):
-            params = {"family": family, "n": n, "lambda": list(lam), "graph": f"GS({body},{list(legs)})"}
-            vertices = body + sum(legs)
-            priced.append((vertices, nominal_cost_ms(vertices), params, (params, lam, body, legs)))
+    # the spiders of the families at n have 2n + 1, 2n + 1 and 2n vertices;
+    # each instance is keyed by (n, family index) and built where it runs
+    priced = [
+        (vertices, nominal_cost_ms(vertices), (n, k))
+        for n in range(3, n_max + 1)
+        for k, vertices in enumerate((2 * n + 1, 2 * n + 1, 2 * n))
+    ]
     started = time.monotonic()
-    instances = _map_within_budget(_open_coefficient_instance, priced, jobs, budget_ms)
+    instances = _map_within_budget(
+        _open_coefficient_instance, priced, jobs, budget_ms, lambda key: _open_instance(key)[0]
+    )
     return _finish("open-spider-coefficients", instances, started)

@@ -340,8 +340,9 @@ def test_singleton_removal_exit_zero(capsys):
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_all_runs_every_suite(capsys, monkeypatch, jobs):
     # the pooled suites give the same bytes as the serial ones; two workers
-    # even on a one-CPU or pinned host
+    # even on a one-CPU or pinned host, and on sweeps under the fork crossover
     monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
+    monkeypatch.setattr("chromatic_schur.verify.FORK_VERTICES", 0)
     code, out, _ = run_cli(capsys, "--jobs", jobs, "--format", "json", "all")
     assert code == 0
     assert [r["statement_id"] for r in json.loads(out)["reports"]] == [
@@ -411,21 +412,26 @@ def test_expand_json_digests(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, vertices",
     [
-        ["net-rec", "--n-max", "13"],
-        ["spider-rec", "--n-max", "12"],
-        ["structure", "--bound", "25"],
-        ["singleton-removal", "--bound", "13"],
-        ["positivity", "--n-max", "13"],
-        ["f-table", "--bound", "13"],
-        ["--budget-ms", "1000000000", "positivity", "--n-max", "12"],
-        ["--budget-ms", "1000000000", "open-coeffs", "--n-max", "12"],
+        (["net-rec", "--n-max", "13"], 26),
+        (["spider-rec", "--n-max", "12"], 25),
+        (["structure", "--bound", "25"], 25),
+        (["singleton-removal", "--bound", "13"], 26),
+        (["positivity", "--n-max", "13"], 26),
+        (["f-table", "--bound", "13"], 26),
+        (["--budget-ms", "1000000000", "positivity", "--n-max", "12"], 25),
+        (["--budget-ms", "1000000000", "open-coeffs", "--n-max", "12"], 25),
+        (["positivity", "--n-max", "1000"], 2000),
+        (["--budget-ms", "1000000000", "open-coeffs", "--n-max", "1000"], 2001),
     ],
+    ids=[f"argv{i}" for i in range(10)],
 )
-def test_suite_bound_past_the_type_cap_exit_2_before_any_work(capsys, monkeypatch, argv):
-    # each is the first bound whose largest graph has more than 24 vertices,
-    # so it is refused before any of its smaller instances runs
+def test_suite_bound_past_the_type_cap_exit_2_before_any_work(capsys, monkeypatch, argv, vertices):
+    # the first eight are each the first bound whose largest graph has more
+    # than 24 vertices, so it is refused before any of its smaller instances
+    # runs; the last two are refused before their O(n_max^2) instance lists
+    # or shapes are built
     def no_count(key):
         raise AssertionError("a type count ran")
 
@@ -434,7 +440,7 @@ def test_suite_bound_past_the_type_cap_exit_2_before_any_work(capsys, monkeypatc
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - started < 1
     assert code == 2 and out == ""
-    assert re.search(r"error: 2[56] vertices exceed the cap of 24 on stable-partition types", err), err
+    assert f"error: {vertices} vertices exceed the cap of 24 on stable-partition types" in err, err
 
 
 def test_crash_exits_3_not_1(capsys, monkeypatch):
@@ -443,6 +449,8 @@ def test_crash_exits_3_not_1(capsys, monkeypatch):
     from chromatic_schur import verify
 
     monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    # net-rec --n-max 3 is under the fork crossover, which is lowered for both halves
+    monkeypatch.setattr(verify, "FORK_VERTICES", 0)
     monkeypatch.setattr(verify, "_answer", lambda fn, params, write_fd: os._exit(9))
     code, out, err = run_cli(capsys, "--jobs", "2", "net-rec", "--n-max", "3")
     assert code == 3 and out == ""

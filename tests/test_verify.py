@@ -201,8 +201,11 @@ def test_report_contract():
 
 
 def test_parallel_jobs_identical(monkeypatch):
-    # two workers even on a one-CPU host, each dealt every other instance
+    # two workers even on a one-CPU host, each dealt every other instance;
+    # these sweeps are under the fork crossover, so it is lowered to reach
+    # the fork path
     monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "FORK_VERTICES", 0)
     dealt = _recorded_dealing(monkeypatch, _recorded_forks(monkeypatch))
     for run, size in (
         (run_net_recurrence_suite, 3),
@@ -308,9 +311,9 @@ def _recorded_dealing(monkeypatch, forks) -> list:
     dealt = []
     map_instances = verify._map_instances
 
-    def recorded(fn, params, jobs):
+    def recorded(fn, params, jobs, vertices):
         first = len(forks)
-        answers = map_instances(lambda p: (os.getpid(), fn(p)), params, jobs)
+        answers = map_instances(lambda p: (os.getpid(), fn(p)), params, jobs, vertices)
         # a serial map answers every instance in this process
         workers = forks[first:] or [os.getpid()]
         for w, pid in enumerate(workers):
@@ -332,7 +335,9 @@ def _assert_reaped(pids):
 
 def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
     # worker w is dealt instances w, w + workers, ..., so a rising-cost
-    # sweep spreads over every worker
+    # sweep spreads over every worker; the crossover is lowered so that
+    # these small sweeps fork
+    monkeypatch.setattr(verify, "FORK_VERTICES", 0)
     forks = _recorded_forks(monkeypatch)
     dealt = _recorded_dealing(monkeypatch, forks)
     sequential = run_net_recurrence_suite(2, jobs=1)
@@ -357,10 +362,12 @@ def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
 
 
 def test_jobs_capped_by_cpu_affinity(monkeypatch):
-    # a process pinned to one CPU runs --jobs 2 serially, with the same report
+    # a process pinned to one CPU runs --jobs 2 serially, with the same
+    # report, even on a sweep past the fork crossover
     def no_fork():
         raise AssertionError("a worker was forked")
 
+    monkeypatch.setattr(verify, "FORK_VERTICES", 0)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     monkeypatch.setattr(os, "fork", no_fork)
@@ -377,6 +384,77 @@ def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
     assert verify._usable_cpus() == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert verify._usable_cpus() == 1
+
+
+def test_sweeps_under_the_fork_crossover_run_in_process(monkeypatch):
+    # --jobs 2 on two CPUs forks nothing below FORK_VERTICES, with the same
+    # report as --jobs 1
+    def no_fork():
+        raise AssertionError("a worker was forked")
+
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    below = verify.FORK_VERTICES - 1
+    assert verify._map_instances(lambda x: (os.getpid(), x), [0, 1, 2], jobs=2, vertices=below) == [
+        (os.getpid(), x) for x in range(3)
+    ]
+    for run, size in (
+        (run_net_recurrence_suite, 4),
+        (run_spider_recurrence_suite, 4),
+        (run_structure_suite, 8),
+        (run_singleton_removal_suite, 4),
+        (run_positivity_sweep, 4),
+        (run_f_table_suite, 5),
+        (run_open_coefficient_report, 4),
+    ):
+        assert run(size, jobs=2).to_json_dict() == run(size, jobs=1).to_json_dict(), run.__name__
+
+
+def test_sweeps_at_the_fork_crossover_fork_min_of_jobs_cpus_and_instances(monkeypatch):
+    forks = _recorded_forks(monkeypatch)
+    at = verify.FORK_VERTICES
+    for jobs, cpus, count, workers in ((8, 4, 3, 3), (2, 4, 5, 2), (8, 2, 5, 2), (3, 3, 3, 3)):
+        monkeypatch.setattr(verify, "_usable_cpus", lambda: cpus)
+        first = len(forks)
+        answers = verify._map_instances(lambda x: (os.getpid(), x), list(range(count)), jobs=jobs, vertices=at)
+        assert len(forks) - first == workers
+        assert answers == [(forks[first + i % workers], i) for i in range(count)]
+    # a suite whose largest graph, GN(4, 4), is exactly at the crossover,
+    # lowered to its 8 vertices: 59 instances over two CPUs
+    monkeypatch.setattr(verify, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "FORK_VERTICES", 8)
+    first = len(forks)
+    pooled = run_net_recurrence_suite(4, jobs=3)
+    assert len(forks) - first == 2
+    assert pooled.instances == run_net_recurrence_suite(4, jobs=1).instances
+    _assert_reaped(forks)
+
+
+def test_each_suite_names_its_largest_graph_to_the_map(monkeypatch):
+    # the vertex count that decides forking is that of the suite's largest
+    # graph, the same count its cap check reads
+    named = []
+    map_instances = verify._map_instances
+
+    def recorded(fn, params, jobs, vertices):
+        named.append(vertices)
+        return map_instances(fn, params, jobs, vertices)
+
+    monkeypatch.setattr(verify, "_map_instances", recorded)
+    for run, size, vertices in (
+        (run_net_recurrence_suite, 3, 6),
+        (run_spider_recurrence_suite, 4, 9),
+        (run_structure_suite, 7, 7),
+        (run_singleton_removal_suite, 3, 6),
+        (run_f_table_suite, 4, 8),
+        # nets up to GN(4, 4); the 9-vertex spiders are priced over 600 ms
+        (lambda n, jobs: run_positivity_sweep(n, jobs, budget_ms=600), 4, 8),
+        # at n = 4 the 9-vertex spiders are priced over 600 ms, the 8-vertex one is not
+        (lambda n, jobs: run_open_coefficient_report(n, jobs, budget_ms=600), 4, 8),
+    ):
+        named.clear()
+        run(size, jobs=2)
+        assert named == [vertices], (size, named)
 
 
 def _fails_at_zero(x):
@@ -408,10 +486,11 @@ def test_worker_failure_reaches_the_caller(monkeypatch, fn, error, match):
     # the first worker fails at once; the other is still sleeping, so it is
     # killed and reaped rather than waited for
     monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify, "FORK_VERTICES", 0)
     forks = _recorded_forks(monkeypatch)
     started = time.monotonic()
     with pytest.raises(error, match=match):
-        verify._map_instances(lambda x: _hangs_after_zero(fn(x)), [0, 1], jobs=2)
+        verify._map_instances(lambda x: _hangs_after_zero(fn(x)), [0, 1], jobs=2, vertices=0)
     assert time.monotonic() - started < 30
     assert len(forks) == 2
     _assert_reaped(forks)
