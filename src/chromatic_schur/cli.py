@@ -2,7 +2,8 @@
 
 Exit status: 0 when everything checked passed, 1 when a verified identity
 failed (the failures are listed in the output), 2 on invalid input, 3 on
-any other error, such as a dead suite worker, with its traceback on stderr.
+any other error, such as a dead suite worker, with its traceback on stderr,
+and 141 (128 + SIGPIPE) when stdout's reader left before the output ended.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -117,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget-ms",
         type=int,
         default=DEFAULT_BUDGET_MS,
-        help="nominal cost allowance gating the optional large instances",
+        help="nominal cost allowance for an explicit cancel --graph/--partition instance",
     )
     parser.add_argument(
         "--timing",
@@ -164,10 +166,7 @@ def _vector_csv(vec) -> str:
 
 def _report_text(report: VerificationReport, timing: bool) -> str:
     status = "PASS" if report.passed else "FAIL"
-    skips = sum(1 for inst in report.instances if inst["status"] == "skip")
     line = f"{report.statement_id}: {status} ({report.instances_checked} instances"
-    if skips:
-        line += f", {skips} skipped"
     if timing:
         line += f", {report.wall_time_ms} ms"
     line += ")"
@@ -178,8 +177,6 @@ def _report_text(report: VerificationReport, timing: bool) -> str:
         elif inst["status"] == "report" and "value" in inst:
             flag = "  [negative]" if inst.get("negative") else ""
             lines.append(f"  {json.dumps(inst['params'], sort_keys=True)} value={inst['value']}{flag}")
-        elif inst["status"] == "skip":
-            lines.append(f"  SKIP {json.dumps(inst['params'], sort_keys=True)}")
     return "\n".join(lines)
 
 
@@ -251,7 +248,7 @@ def _cancel_reports(args, _bound) -> list[VerificationReport]:
     if graph_text is not None:
         graph = parse_graph_shorthand(graph_text)
         lam = parse_partition_text(partition_text)
-        cost = nominal_cost_ms(graph.n, kind="enumeration")
+        cost = nominal_cost_ms(graph.n)
         if cost > args.budget_ms:
             raise ValueError(
                 f"cancel on {graph_text}: nominal cost {cost} ms exceeds --budget-ms {args.budget_ms}"
@@ -284,16 +281,17 @@ SUITES = (
      lambda a, bound: [run_singleton_removal_suite(bound, jobs=a.jobs)]),
     ("cancel", "verify signed cancellation of head groups", None, None, _cancel_reports),
     ("positivity", "verify net Schur-positivity, claw as control", "--n-max", 4,
-     lambda a, bound: [run_positivity_sweep(bound, jobs=a.jobs, budget_ms=a.budget_ms)]),
+     lambda a, bound: [run_positivity_sweep(bound, jobs=a.jobs)]),
     ("f-table", "tabulate f(C,D) and verify its identities", "--bound", 6,
      lambda a, bound: [run_f_table_suite(bound, jobs=a.jobs)]),
     ("open-coeffs", "report the three open spider coefficient families", "--n-max", 3,
-     lambda a, bound: [run_open_coefficient_report(bound, jobs=a.jobs, budget_ms=a.budget_ms)]),
+     lambda a, bound: [run_open_coefficient_report(bound, jobs=a.jobs)]),
 )
 
 
 def _all_reports(args, _bound) -> list[VerificationReport]:
-    """Every suite at its default bound, under the given --jobs and --budget-ms."""
+    """Every suite at its default bound, under the given --jobs; --budget-ms
+    governs none of them, since `cancel` runs its default instances here."""
     return [report for *_, default, run in SUITES for report in run(args, default)]
 
 
@@ -312,11 +310,19 @@ def main(argv=None) -> int:
                 print(_vector_csv(vec), end="")
             else:
                 print(_vector_text(vec))
-            return 0
-        return _emit_reports(args.run(args, args.bound), args)
+            code = 0
+        else:
+            code = _emit_reports(args.run(args, args.bound), args)
+        sys.stdout.flush()  # a reader that left early shows here, not at exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader left, as `| head` does: point stdout at devnull so
+        # that the interpreter's last flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except Exception:
         import traceback
 

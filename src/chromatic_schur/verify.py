@@ -20,8 +20,7 @@ or the exception it raised, down a pipe and leaves by ``os._exit``.  There
 is no executor: importing ``concurrent.futures`` cost every process more
 than all the command line's other imports together.  Forking is safe
 because the package starts no thread.  A report's verdicts are read from
-its instance records, and a suite with a cost budget keeps a skip record in
-place of each instance priced above it.
+its instance records.
 """
 
 from __future__ import annotations
@@ -47,29 +46,22 @@ from .graphs import (
 from .partitions import UNDEFINED, partitions_of, strip_trailing_ones
 from .tabloids import head_class_sums, pendant_tail_counts
 
-# Nominal per-instance cost classes, keyed by vertex count, used to gate
-# expensive optional instances behind --budget-ms.  The table is fixed rather
-# than measured, so identical invocations run identical instance sets, and a
-# changed price changes which instances run.  The coefficient prices still date
-# from the tabloid route, at two to three times its cost, and overprice the
-# grouped route, which every gated coefficient instance runs.  The enumeration
-# prices were set at about twice the cost of the head-group check's dynamic
-# programme on GN(n/2, n/2) at (2,2,1^(n-4)) on a 2-core host: 0.1 s at 10
-# vertices, 0.6-0.7 s at 12, 4.2-4.6 s at 14 and 36-38 s at 16.  Heads with
-# more rows cost more, since every head class becomes one reported instance.
-COEFFICIENT_COST_MS = {9: 1_000, 10: 3_000, 11: 10_000, 12: 30_000, 13: 120_000}
+# Nominal cost of an explicit head-group cancellation instance, keyed by
+# vertex count and held against --budget-ms before any work.  The table is
+# fixed rather than measured, so identical invocations make identical
+# decisions.  The prices were set at about twice the cost of the check's
+# dynamic programme on GN(n/2, n/2) at (2,2,1^(n-4)) on a 2-core host: 0.1 s
+# at 10 vertices, 0.6-0.7 s at 12, 4.2-4.6 s at 14 and 36-38 s at 16.  Heads
+# with more rows cost more, since every head class becomes one reported
+# instance.
 ENUMERATION_COST_MS = {11: 1_000, 12: 2_000, 13: 5_000, 14: 10_000, 15: 30_000, 16: 80_000}
 DEFAULT_BUDGET_MS = 30_000
 
 
-def nominal_cost_ms(n_vertices: int, kind: str = "coefficient") -> int:
-    if kind == "enumeration":
-        if n_vertices <= 10:
-            return 500
-        return ENUMERATION_COST_MS.get(n_vertices, 100_000_000)
-    if n_vertices <= 8:
+def nominal_cost_ms(n_vertices: int) -> int:
+    if n_vertices <= 10:
         return 500
-    return COEFFICIENT_COST_MS.get(n_vertices, 10_000_000)
+    return ENUMERATION_COST_MS.get(n_vertices, 100_000_000)
 
 
 class VerificationReport:
@@ -85,7 +77,7 @@ class VerificationReport:
 
     @property
     def instances_checked(self) -> int:
-        return sum(1 for inst in self.instances if inst["status"] != "skip")
+        return len(self.instances)
 
     @property
     def failures(self) -> list:
@@ -206,24 +198,6 @@ def _map_instances(fn, params: list, jobs: int, vertices: int) -> list:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     return results
-
-
-def _map_within_budget(fn, priced: list, jobs: int, budget_ms: int, describe) -> list:
-    """Map ``fn`` over the args of each ``(vertices, nominal cost, args)``
-    entry priced within the budget; a budget skip record, whose params are
-    ``describe(args)``, stands in place of each instance priced above it.
-    Before any work the largest graph that will run is checked against the
-    type cap, so a graph the budget skips is never refused for its size.
-    The suites that gate instances leave both rules to this function, and
-    keep their args small, so that a bound past the cap is refused before
-    any shape is built."""
-    run = [(n, args) for n, cost, args in priced if cost <= budget_ms]
-    vertices = check_type_vertices(max((n for n, _ in run), default=0))
-    results = iter(_map_instances(fn, [args for _, args in run], jobs, vertices))
-    return [
-        next(results) if cost <= budget_ms else {"params": describe(args), "status": "skip", "reason": "budget"}
-        for _, cost, args in priced
-    ]
 
 
 def _run(statement_id: str, fn, params: list, jobs: int, vertices: int) -> VerificationReport:
@@ -495,27 +469,21 @@ def _positivity_instance(params) -> dict:
     return {"params": params, "lhs": least, "rhs": 0, "negative": least < 0, "status": "report"}
 
 
-def run_positivity_sweep(n_max: int, jobs: int = 1, budget_ms: int = DEFAULT_BUDGET_MS) -> VerificationReport:
+def run_positivity_sweep(n_max: int, jobs: int = 1) -> VerificationReport:
     """Every net with up to n_max body vertices must expand nonnegatively.
 
     The claw is run as a negative control (it must report the witness (2,2)
     with value -1).  One-long-leg spider expansions are computed and
-    reported without assertion; those beyond the cost budget are skipped
-    with a budget marker.
+    reported without assertion.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    check_type_vertices(2 * n_max)  # GN(n_max, n_max), never gated, refused before any list is built
+    # GS(n_max, (2, 1^(n_max - 1))) once there are spiders, else the claw
+    vertices = check_type_vertices(2 * n_max + 1 if n_max >= 3 else 4)
     nets = [{"kind": "net", "n": n, "m": m} for n in range(1, n_max + 1) for m in range(0, n + 1)]
     claw = {"kind": "claw-control", "expected_witness": [2, 2], "expected_value": -1}
     spiders = [{"kind": "spider-report", "n": n, "m": m} for n in range(3, n_max + 1) for m in range(1, n + 1)]
-    # nets and the control, the 4-vertex claw, are never gated; a spider has
-    # n + m + 1 vertices; each instance's args are its report params
-    priced = [(p["n"] + p["m"], 0, p) for p in nets] + [(4, 0, claw)]
-    priced += [(p["n"] + p["m"] + 1, nominal_cost_ms(p["n"] + p["m"] + 1), p) for p in spiders]
-    started = time.monotonic()
-    instances = _map_within_budget(_positivity_instance, priced, jobs, budget_ms, lambda p: p)
-    return _finish("net-positivity", instances, started)
+    return _run("net-positivity", _positivity_instance, nets + [claw] + spiders, jobs, vertices)
 
 
 # ---------------------------------------------------------------------------
@@ -561,9 +529,8 @@ def run_f_table_suite(bound: int, jobs: int = 1) -> VerificationReport:
 # open coefficient families
 
 
-def _open_instance(key):
-    """The report params, shape and spider legs of open family ``k`` at
-    body ``n``, for ``key = (n, k)``."""
+def _open_coefficient_instance(key) -> dict:
+    """The value of open family ``k`` at body ``n``, for ``key = (n, k)``."""
     n, k = key
     long_legs = (2,) + (1,) * (n - 1)
     family, lam, legs = (
@@ -571,32 +538,17 @@ def _open_instance(key):
         ("single-tail-cell", (2,) * n + (1,), long_legs),
         ("tailless", (2,) * n, long_legs[:-1]),
     )[k]
-    return {"family": family, "n": n, "lambda": list(lam), "graph": f"GS({n},{list(legs)})"}, lam, legs
-
-
-def _open_coefficient_instance(key) -> dict:
-    params, lam, legs = _open_instance(key)
-    value = xi(lam, generalized_spider(key[0], legs))
+    value = xi(lam, generalized_spider(n, legs))
+    params = {"family": family, "n": n, "lambda": list(lam), "graph": f"GS({n},{list(legs)})"}
     return {"params": params, "value": value, "negative": value < 0, "status": "report"}
 
 
-def run_open_coefficient_report(
-    n_max: int, jobs: int = 1, budget_ms: int = DEFAULT_BUDGET_MS
-) -> VerificationReport:
+def run_open_coefficient_report(n_max: int, jobs: int = 1) -> VerificationReport:
     """Values of the three spider coefficient families that the recurrence
-    cannot reach, reported with sign flags and never asserted.  Instances
-    beyond the cost budget are skipped with a budget marker."""
+    cannot reach, reported with sign flags and never asserted."""
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
-    # the spiders of the families at n have 2n + 1, 2n + 1 and 2n vertices;
-    # each instance is keyed by (n, family index) and built where it runs
-    priced = [
-        (vertices, nominal_cost_ms(vertices), (n, k))
-        for n in range(3, n_max + 1)
-        for k, vertices in enumerate((2 * n + 1, 2 * n + 1, 2 * n))
-    ]
-    started = time.monotonic()
-    instances = _map_within_budget(
-        _open_coefficient_instance, priced, jobs, budget_ms, lambda key: _open_instance(key)[0]
-    )
-    return _finish("open-spider-coefficients", instances, started)
+    # the spiders of the families at n have 2n + 1, 2n + 1 and 2n vertices
+    vertices = check_type_vertices(2 * n_max + 1)
+    params = [(n, k) for n in range(3, n_max + 1) for k in range(3)]
+    return _run("open-spider-coefficients", _open_coefficient_instance, params, jobs, vertices)

@@ -181,13 +181,6 @@ def test_suites_exit_zero(capsys):
         assert code == 0, f"{argv} -> {out}"
 
 
-def test_positivity_budget_skips_in_text(capsys):
-    code, out, _ = run_cli(capsys, "--budget-ms", "100", "positivity")
-    lines = out.splitlines()
-    assert code == 0 and lines[0] == "net-positivity: PASS (15 instances, 7 skipped)"
-    assert len(lines) == 8 and all(line.startswith("  SKIP {") for line in lines[1:])
-
-
 def test_failed_identity_reaches_every_output(capsys, monkeypatch):
     # shift xi on GN(2,2), which only the left sides of net-rec --n-max 2 ask
     # about, so exactly its three instances fail
@@ -267,8 +260,7 @@ def test_jobs_below_one_exit_2(capsys):
 
 
 def test_negative_budget_exit_2(capsys):
-    # a negative budget is refused, not taken to skip every gated instance
-    code, out, err = run_cli(capsys, "--budget-ms", "-1", "open-coeffs")
+    code, out, err = run_cli(capsys, "--budget-ms", "-1", "cancel")
     assert code == 2 and out == "" and "--budget-ms must be nonnegative" in err
 
 
@@ -418,27 +410,28 @@ def test_expand_json_digests(capsys):
         (["spider-rec", "--n-max", "12"], 25),
         (["structure", "--bound", "25"], 25),
         (["singleton-removal", "--bound", "13"], 26),
-        (["positivity", "--n-max", "13"], 26),
+        (["positivity", "--n-max", "12"], 25),
         (["f-table", "--bound", "13"], 26),
-        (["--budget-ms", "1000000000", "positivity", "--n-max", "12"], 25),
-        (["--budget-ms", "1000000000", "open-coeffs", "--n-max", "12"], 25),
-        (["positivity", "--n-max", "1000"], 2000),
-        (["--budget-ms", "1000000000", "open-coeffs", "--n-max", "1000"], 2001),
+        (["open-coeffs", "--n-max", "12"], 25),
+        (["positivity", "--n-max", "1000"], 2001),
+        (["open-coeffs", "--n-max", "1000"], 2001),
+        (["--budget-ms", "0", "open-coeffs", "--n-max", "12"], 25),
     ],
     ids=[f"argv{i}" for i in range(10)],
 )
 def test_suite_bound_past_the_type_cap_exit_2_before_any_work(capsys, monkeypatch, argv, vertices):
-    # the first eight are each the first bound whose largest graph has more
-    # than 24 vertices, so it is refused before any of its smaller instances
-    # runs; the last two are refused before their O(n_max^2) instance lists
-    # or shapes are built
+    # each suite's first bound whose largest graph has more than 24 vertices
+    # is refused before any of its smaller instances runs; bounds of 1000 are
+    # refused before their O(n_max^2) instance lists or shapes are built; and
+    # --budget-ms, which prices only an explicit cancel instance, changes
+    # nothing
     def no_count(key):
         raise AssertionError("a type count ran")
 
     monkeypatch.setattr("chromatic_schur.graphs._types_for", no_count)
     started = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
-    assert time.perf_counter() - started < 1
+    assert time.perf_counter() - started < 0.5
     assert code == 2 and out == ""
     assert f"error: {vertices} vertices exceed the cap of 24 on stable-partition types" in err, err
 
@@ -476,6 +469,21 @@ def test_crash_exits_3_not_1(capsys, monkeypatch):
     for fd in pipes[0]:
         with pytest.raises(OSError):
             os.fstat(fd)
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the reader takes one line of a 286 kB report and leaves, as `| head -1`
+    # does; the rest of the output would block on the full pipe, so the
+    # program meets the closed pipe while it writes
+    import chromatic_schur
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chromatic_schur.__file__))}
+    argv = [sys.executable, "-m", "chromatic_schur", "--format", "json", "net-rec", "--n-max", "7"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 141 and err == b""
 
 
 def test_readme_examples_parse():

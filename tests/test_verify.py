@@ -123,23 +123,6 @@ def test_positivity_sweep_with_claw_control():
     assert len(nets) == 9  # (n,m) with 0 <= m <= n <= 3
 
 
-def test_positivity_gate_records_budget_skips():
-    # at 100 ms every spider (7 to 9 vertices, 500 ms and up) is over budget;
-    # its record stays, marked as a budget skip, after the claw control
-    report = run_positivity_sweep(4, budget_ms=100)
-    assert report.passed and report.instances_checked == 15
-    assert report.instances[14]["params"]["kind"] == "claw-control"
-    skipped = report.instances[15:]
-    assert len(skipped) == 7 and all(i["status"] == "skip" and i["reason"] == "budget" for i in skipped)
-    assert [i["params"] for i in skipped] == [
-        {"kind": "spider-report", "n": n, "m": m} for n in (3, 4) for m in range(1, n + 1)
-    ]
-    # the default budget runs the same 22 records, none skipped
-    full = run_positivity_sweep(4)
-    assert full.instances[:15] == report.instances[:15]
-    assert [i["params"] for i in full.instances[15:]] == [i["params"] for i in skipped]
-    assert full.instances_checked == 22
-
 def test_f_table_suite():
     report = run_f_table_suite(4)
     assert report.passed
@@ -173,19 +156,15 @@ def test_open_coefficient_values_double_routed():
         assert by_family[family]["negative"] is False
 
 
-def test_open_coefficients_report_and_budget():
-    report = run_open_coefficient_report(4, budget_ms=600)
+def test_open_coefficients_report_only():
+    report = run_open_coefficient_report(4)
     assert report.passed  # report-only suite never fails
-    n3 = [i for i in report.instances if i["params"]["n"] == 3]
-    assert len(n3) == 3 and all(i["status"] == "report" for i in n3)
-    # at n=4 the nine-vertex families exceed a 600ms allowance, the
-    # eight-vertex one does not
-    n4 = {i["params"]["family"]: i["status"] for i in report.instances if i["params"]["n"] == 4}
-    assert n4 == {"one-wide-row": "skip", "single-tail-cell": "skip", "tailless": "report"}
-    skipped = [i for i in report.instances if i["status"] == "skip"]
-    assert all(i["reason"] == "budget" for i in skipped)
-    # skipped instances are not counted as checked
-    assert report.instances_checked == len(report.instances) - len(skipped)
+    families = ["one-wide-row", "single-tail-cell", "tailless"]
+    assert [(i["params"]["n"], i["params"]["family"]) for i in report.instances] == [
+        (n, family) for n in (3, 4) for family in families
+    ]
+    assert all(i["status"] == "report" for i in report.instances)
+    assert report.instances_checked == 6
 
 
 def test_report_contract():
@@ -345,14 +324,12 @@ def test_worker_pool_bounded_by_cores_and_instances(monkeypatch):
     assert all(w <= verify._usable_cpus() and w <= len(bounded.instances) for w in dealt)
     assert len(forks) == sum(dealt)
     assert bounded.instances == sequential.instances
-    # open-coeffs hands its instances to the workers too, with its budget
-    # skips (two of the three n = 4 instances at 600 ms) kept in place
+    # open-coeffs hands its instances to the workers too
     monkeypatch.setattr("chromatic_schur.verify._usable_cpus", lambda: 2)
     dealt.clear()
-    pooled = run_open_coefficient_report(4, jobs=2, budget_ms=600)
+    pooled = run_open_coefficient_report(4, jobs=2)
     assert dealt == [2]
-    assert pooled.instances == run_open_coefficient_report(4, jobs=1, budget_ms=600).instances
-    assert [i["status"] for i in pooled.instances] == ["report"] * 3 + ["skip", "skip", "report"]
+    assert pooled.instances == run_open_coefficient_report(4, jobs=1).instances
     # 59 instances over two workers, every other one each
     dealt.clear()
     dealt_out = run_net_recurrence_suite(4, jobs=2)
@@ -447,10 +424,9 @@ def test_each_suite_names_its_largest_graph_to_the_map(monkeypatch):
         (run_structure_suite, 7, 7),
         (run_singleton_removal_suite, 3, 6),
         (run_f_table_suite, 4, 8),
-        # nets up to GN(4, 4); the 9-vertex spiders are priced over 600 ms
-        (lambda n, jobs: run_positivity_sweep(n, jobs, budget_ms=600), 4, 8),
-        # at n = 4 the 9-vertex spiders are priced over 600 ms, the 8-vertex one is not
-        (lambda n, jobs: run_open_coefficient_report(n, jobs, budget_ms=600), 4, 8),
+        (run_positivity_sweep, 4, 9),
+        (run_positivity_sweep, 1, 4),  # no spider yet: the claw control
+        (run_open_coefficient_report, 4, 9),
     ):
         named.clear()
         run(size, jobs=2)
